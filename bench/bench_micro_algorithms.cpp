@@ -9,6 +9,7 @@
 #include "core/ehtr.hpp"
 #include "core/inor.hpp"
 #include "core/objective.hpp"
+#include "oracle/ehtr.hpp"
 #include "predict/bpnn.hpp"
 #include "predict/mlr.hpp"
 #include "predict/svr.hpp"
@@ -44,7 +45,7 @@ void BM_DpPartitionAllN(benchmark::State& state) {
   const teg::TegArray array(kDev, profile());
   const auto impp = array.module_mpp_currents();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::balanced_partitions(impp, kN));
+    benchmark::DoNotOptimize(oracle::balanced_partitions(impp, kN));
   }
 }
 BENCHMARK(BM_DpPartitionAllN);

@@ -5,11 +5,13 @@
 // the legacy cubic path (full-scan DP + per-candidate SeriesString
 // scoring), the materialising path (divide-and-conquer DP + a full
 // std::vector<ArrayConfig> of candidates scored via ArrayEvaluator — the
-// O(N^2)-memory shape the streaming refactor replaced), and the streaming
-// path (candidates reconstructed out of a PartitionTable and scored during
-// backtrack) across N in {64, 256, 1024, 4096, 10000}, with INOR's O(N)
-// search for contrast.  The legacy path is skipped above N = 1024, where
-// the cubic DP alone would take minutes.
+// O(N^2)-memory shape the streaming refactor replaced), and the production
+// core::ehtr_search (candidates reconstructed out of a PartitionTable and
+// scored during backtrack, warm-started and certified) across N in
+// {64, 256, 1024, 4096, 10000}, with INOR's O(N) search for contrast.  The
+// legacy and materialising paths come from the test oracle library
+// (tests/oracle/).  The legacy path is skipped above N = 1024, where the
+// cubic DP alone would take minutes.
 //
 // Each timed search also records its peak RSS (VmHWM, reset per
 // measurement via /proc/self/clear_refs where the kernel allows it), so
@@ -40,6 +42,7 @@
 #include "core/ehtr.hpp"
 #include "core/inor.hpp"
 #include "core/objective.hpp"
+#include "oracle/ehtr.hpp"
 #include "switchfab/switch_network.hpp"
 #include "teg/array.hpp"
 #include "teg/array_evaluator.hpp"
@@ -124,32 +127,12 @@ void reset_peak_rss() {
 // by materialising a SeriesString of N module copies.
 teg::ArrayConfig legacy_ehtr_search(const teg::TegArray& array,
                                     const power::Converter& converter) {
-  const std::vector<teg::ArrayConfig> candidates = core::balanced_partitions(
-      array.module_mpp_currents(), array.size(), core::PartitionDp::kLegacyCubic);
+  const std::vector<teg::ArrayConfig> candidates =
+      oracle::cubic_partitions(array.module_mpp_currents(), array.size());
   double best_power = -1.0;
   const teg::ArrayConfig* best = &candidates.front();
   for (const teg::ArrayConfig& c : candidates) {
     const double p = core::config_power_w(array, converter, c);
-    if (p > best_power) {
-      best_power = p;
-      best = &c;
-    }
-  }
-  return *best;
-}
-
-// The intermediate (PR 2) shape: fast DP and cached scoring, but the full
-// candidate vector is still materialised — O(N^2) bytes of group starts.
-teg::ArrayConfig materialising_ehtr_search(const teg::TegArray& array,
-                                           const power::Converter& converter) {
-  const std::vector<teg::ArrayConfig> candidates = core::balanced_partitions(
-      array.module_mpp_currents(), array.size(),
-      core::PartitionDp::kDivideAndConquer);
-  const teg::ArrayEvaluator evaluator(array);
-  double best_power = -1.0;
-  const teg::ArrayConfig* best = &candidates.front();
-  for (const teg::ArrayConfig& c : candidates) {
-    const double p = core::config_power_w(evaluator, converter, c);
     if (p > best_power) {
       best_power = p;
       best = &c;
@@ -218,9 +201,7 @@ int main(int argc, char** argv) {
     const std::vector<double> impp = array.module_mpp_currents();
 
     row.inor_s = time_s([&] { core::inor_search(array, conv); });
-    row.dc_dp_s = time_s([&] {
-      core::PartitionTable table(impp, n, core::PartitionDp::kDivideAndConquer);
-    });
+    row.dc_dp_s = time_s([&] { core::PartitionTable table(impp, n); });
     // Streaming first, materialising second: small freed allocations can
     // linger in the heap arena, so the order keeps each measurement's
     // baseline as clean as the allocator allows.
@@ -228,18 +209,20 @@ int main(int argc, char** argv) {
     row.new_search_s = time_s([&] { core::ehtr_search(array, conv, 1); });
     row.new_peak_rss_mb = peak_rss_mb();
     reset_peak_rss();
-    row.mat_search_s = time_s([&] { materialising_ehtr_search(array, conv); });
+    // The intermediate shape: fast DP and cached scoring, but the full
+    // candidate vector is materialised — O(N^2) bytes of group starts.
+    row.mat_search_s = time_s([&] { oracle::cold_ehtr_search(array, conv); });
     row.mat_peak_rss_mb = peak_rss_mb();
     if (n <= kLegacyCap) {
-      row.legacy_dp_s = time_s([&] {
-        core::balanced_partitions(impp, n, core::PartitionDp::kLegacyCubic);
-      });
+      row.legacy_dp_s = time_s([&] { oracle::cubic_partitions(impp, n); });
       row.legacy_search_s = time_s([&] { legacy_ehtr_search(array, conv); });
     }
 
     // Warm vs cold across consecutive actuations of a drifting field.  Both
-    // paths see the same fields; the warm one seeds each step with the
-    // previous step's group count and must stay bit-identical throughout.
+    // searches see the same fields; cold is the streaming full sweep (a
+    // width of N solves and scores every group count), warm seeds each
+    // step with the previous step's group count, and the two must stay
+    // bit-identical throughout.
     constexpr int kDriftSteps = 4;
     {
       double cold_total = 0.0, warm_total = 0.0;
@@ -249,15 +232,14 @@ int main(int argc, char** argv) {
       for (int s = 1; s <= kDriftSteps; ++s) {
         const teg::TegArray drifted(kDev, drift_profile(n, s));
         teg::ArrayConfig cold_cfg, warm_cfg;
-        cold_total +=
-            time_s([&] { cold_cfg = core::ehtr_search(drifted, conv, 1); });
+        cold_total += time_s([&] {
+          cold_cfg = core::ehtr_search(drifted, conv, 1, 0,
+                                       core::EhtrWarmStart{0, n});
+        });
         core::EhtrWarmStart warm;
-        warm.enabled = true;
         warm.incumbent_groups = incumbent;
         warm_total += time_s([&] {
-          warm_cfg = core::ehtr_search(drifted, conv, 1,
-                                       core::PartitionDp::kDivideAndConquer, 0,
-                                       warm, &stats);
+          warm_cfg = core::ehtr_search(drifted, conv, 1, 0, warm, &stats);
         });
         identical = identical && warm_cfg == cold_cfg;
         incumbent = warm_cfg.num_groups();

@@ -36,8 +36,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // layer.  The initial call passes klo = j (the layer's smallest legal k)
 // and recursion only ever raises it, so klo stays legal throughout.  Ties
 // resolve to the lowest k — the same first-strict-improvement rule as the
-// cubic oracle, which keeps the two DPs' costs bit-identical whenever the
-// rounded costs stay Monge (inputs are validated finite; same-scale
+// cubic test oracle, which keeps the two DPs' costs bit-identical whenever
+// the rounded costs stay Monge (inputs are validated finite; same-scale
 // physical MPP currents keep rounding far below the Monge gap).
 void solve_layer(const std::vector<double>& prefix,
                  const std::vector<double>& dp_prev, std::size_t lo,
@@ -68,10 +68,9 @@ void solve_layer(const std::vector<double>& prefix,
 }  // namespace
 
 PartitionTable::PartitionTable(const std::vector<double>& mpp_currents,
-                               std::size_t max_groups, PartitionDp dp_kind,
+                               std::size_t max_groups,
                                std::size_t initial_groups)
-    : count_(mpp_currents.size()), max_groups_(max_groups),
-      dp_kind_(dp_kind) {
+    : count_(mpp_currents.size()), max_groups_(max_groups) {
   if (count_ == 0) throw std::invalid_argument("PartitionTable: empty input");
   if (max_groups_ == 0 || max_groups_ > count_) {
     throw std::invalid_argument("PartitionTable: bad max_groups");
@@ -104,31 +103,6 @@ PartitionTable::PartitionTable(const std::vector<double>& mpp_currents,
   extend_to(initial_groups == 0 ? max_groups_ : initial_groups);
 }
 
-void PartitionTable::solve_one_layer(std::size_t j) {
-  const std::size_t stride = count_ + 1;
-  std::uint32_t* parent_row = parents_.data() + (j - 1) * stride;
-  if (dp_kind_ == PartitionDp::kLegacyCubic) {
-    for (std::size_t i = j + 1; i <= count_; ++i) {
-      double best = kInf;
-      std::size_t best_k = j;
-      for (std::size_t k = j; k < i; ++k) {
-        const double s = prefix_[i] - prefix_[k];
-        const double c = dp_prev_[k] + s * s;
-        if (c < best) {
-          best = c;
-          best_k = k;
-        }
-      }
-      dp_cur_[i] = best;
-      parent_row[i] = static_cast<std::uint32_t>(best_k);
-    }
-  } else {
-    solve_layer(prefix_, dp_prev_, j + 1, count_, j, count_ - 1, dp_cur_,
-                parent_row);
-  }
-  dp_prev_.swap(dp_cur_);
-}
-
 void PartitionTable::extend_to(std::size_t n) {
   if (n > max_groups_) n = max_groups_;
   if (n <= solved_groups_) return;
@@ -136,7 +110,11 @@ void PartitionTable::extend_to(std::size_t n) {
   // The parent arena tracks the solved depth, so an early-stopping warm
   // pass holds solved/max of the cold footprint.
   parents_.resize((n - 1) * stride, 0);
-  for (std::size_t j = solved_groups_; j < n; ++j) solve_one_layer(j);
+  for (std::size_t j = solved_groups_; j < n; ++j) {
+    solve_layer(prefix_, dp_prev_, j + 1, count_, j, count_ - 1, dp_cur_,
+                parents_.data() + (j - 1) * stride);
+    dp_prev_.swap(dp_cur_);
+  }
   solved_groups_ = n;
 }
 
@@ -162,22 +140,9 @@ teg::ArrayConfig PartitionTable::config(std::size_t n) const {
   return teg::ArrayConfig(std::move(starts), count_);
 }
 
-std::vector<teg::ArrayConfig> balanced_partitions(
-    const std::vector<double>& mpp_currents, std::size_t max_n,
-    PartitionDp dp_kind) {
-  const PartitionTable table(mpp_currents, max_n, dp_kind);
-  std::vector<teg::ArrayConfig> out;
-  out.reserve(max_n);
-  table.for_each_candidate([&](std::size_t, const std::vector<std::size_t>& starts) {
-    out.emplace_back(starts, table.num_modules());
-  });
-  return out;
-}
-
 teg::ArrayConfig ehtr_search(const teg::TegArray& array,
                              const power::Converter& converter,
-                             std::size_t num_threads, PartitionDp dp_kind,
-                             std::size_t max_groups,
+                             std::size_t num_threads, std::size_t max_groups,
                              const EhtrWarmStart& warm,
                              EhtrSearchStats* stats) {
   std::vector<double> impp = array.module_mpp_currents();
@@ -194,8 +159,8 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
   // Warm-start prerequisites.  The score bound below needs every module's
   // open-circuit voltage finite and its resistance finite and positive;
   // anything degenerate (NaN temperature spikes, open faults) turns the
-  // warm pass off and the search runs the plain cold sweep.
-  bool warm_ok = warm.enabled && max_groups > 1;
+  // warm pass off and the search runs the full sweep.
+  bool warm_ok = max_groups > 1;
   std::vector<double> voc_top_prefix;  // [n] = sum of the n largest vocs
   double total_g = 0.0;
   if (warm_ok) {
@@ -247,7 +212,7 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
 
   // First DP frontier: a neighbourhood of the incumbent group count (or of
   // the converter's efficient window when there is no incumbent yet).
-  // Cold search solves everything up front.
+  // Without a usable bound everything is solved up front.
   std::size_t initial = max_groups;
   if (warm_ok) {
     std::size_t base = warm.incumbent_groups;
@@ -256,7 +221,7 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
     }
     initial = std::min(max_groups, std::max<std::size_t>(1, base + warm.width));
   }
-  PartitionTable table(impp, max_groups, dp_kind, initial);
+  PartitionTable table(impp, max_groups, initial);
   const teg::ArrayEvaluator evaluator(array);
 
   // Streamed scoring: candidates are reconstructed chunk by chunk into
@@ -339,11 +304,9 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
 EhtrReconfigurer::EhtrReconfigurer(const teg::DeviceParams& device,
                                    const power::ConverterParams& converter,
                                    double period_s, std::size_t num_threads,
-                                   std::size_t max_groups, bool warm_start,
-                                   std::size_t warm_width)
+                                   std::size_t max_groups)
     : device_(device), converter_(converter), period_s_(period_s),
-      num_threads_(num_threads), max_groups_(max_groups),
-      warm_start_(warm_start), warm_width_(warm_width) {
+      num_threads_(num_threads), max_groups_(max_groups) {
   if (period_s <= 0.0) throw std::invalid_argument("EhtrReconfigurer: period <= 0");
 }
 
@@ -358,12 +321,9 @@ UpdateResult EhtrReconfigurer::update(double time_s,
   const util::MonotonicTimer timer;
   const teg::TegArray array(device_, delta_t_k, ambient_c);
   EhtrWarmStart warm;
-  warm.enabled = warm_start_;
   warm.incumbent_groups = has_config_ ? current_.num_groups() : 0;
-  warm.width = warm_width_;
-  teg::ArrayConfig next = ehtr_search(array, converter_, num_threads_,
-                                      PartitionDp::kDivideAndConquer,
-                                      max_groups_, warm);
+  teg::ArrayConfig next =
+      ehtr_search(array, converter_, num_threads_, max_groups_, warm);
   result.compute_time_s = timer.seconds();
   result.invoked = true;
   result.switched = !has_config_ || next != current_;

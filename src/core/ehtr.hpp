@@ -14,20 +14,21 @@
 // quadrangle inequality for non-negative currents, so the per-layer argmin
 // is monotone in i and each layer collapses to O(N log N) by
 // divide-and-conquer optimisation: O(max_n * N log N) overall.  The cubic
-// DP is retained behind PartitionDp::kLegacyCubic as the reference oracle
-// (tests/test_ehtr_opt.cpp proves cost-identical partitions).  Each n's
+// DP lives in the test oracle library (tests/oracle/), where
+// tests/test_ehtr_opt.cpp proves it cost-identical to this one.  Each n's
 // partition is then scored with the same charger-aware objective.  Like
 // INOR in the paper's evaluation it re-runs every 0.5 s and always
 // actuates, hence its large switching overhead in Table I.
 //
 // Warm starts (docs/actuation.md): across consecutive actuations the
 // temperature field drifts slowly, so the optimal group count moves little.
-// ehtr_search can therefore solve the DP only up to a neighbourhood of the
-// incumbent group count and *certify* the rest away with a per-n upper
+// ehtr_search therefore solves the DP only up to a neighbourhood of the
+// incumbent group count and *certifies* the rest away with a per-n upper
 // bound on any n-group config's charger-aware score; whenever the bound
 // can't rule a region out, the DP is extended into it and scored for real.
 // In the worst case that converges to the full cold sweep, so the chosen
-// config is bit-identical to cold search by construction.
+// config is bit-identical to cold search by construction (the cold sweep
+// is kept as a test oracle in tests/oracle/).
 #pragma once
 
 #include <cstddef>
@@ -39,14 +40,6 @@
 #include "teg/array.hpp"
 
 namespace tegrec::core {
-
-/// Which partition DP to run.  For the finite, same-scale currents the
-/// validation admits, both return cost-identical partitions; the cubic
-/// oracle exists for equivalence tests and old-vs-new benchmarking.
-enum class PartitionDp {
-  kDivideAndConquer,  ///< O(max_n * N log N) monotone divide-and-conquer
-  kLegacyCubic,       ///< O(max_n * N^2) full-scan reference oracle
-};
 
 /// Owns the partition DP's backtracking state: one flat uint32 parent arena
 /// (solved layers x N + 1 columns) instead of N materialised ArrayConfigs.
@@ -68,11 +61,9 @@ class PartitionTable {
   /// Validates inputs and solves the balanced-partition DP for group
   /// counts 1..initial_groups (0 = all max_groups).  Throws
   /// std::invalid_argument on empty/non-finite/negative currents or
-  /// max_groups outside [1, N] — same contract as balanced_partitions.
+  /// max_groups outside [1, N].
   PartitionTable(const std::vector<double>& mpp_currents,
-                 std::size_t max_groups,
-                 PartitionDp dp = PartitionDp::kDivideAndConquer,
-                 std::size_t initial_groups = 0);
+                 std::size_t max_groups, std::size_t initial_groups = 0);
 
   std::size_t num_modules() const { return count_; }
   std::size_t max_groups() const { return max_groups_; }
@@ -91,26 +82,10 @@ class PartitionTable {
   /// Materialises the optimal n-group partition as an ArrayConfig.
   teg::ArrayConfig config(std::size_t n) const;
 
-  /// Calls fn(n, starts) for every solved n in [1, solved_groups()] in
-  /// order, reusing one scratch buffer — the streaming replacement for
-  /// iterating a materialised candidate vector.
-  template <typename Fn>
-  void for_each_candidate(Fn&& fn) const {
-    std::vector<std::size_t> starts;
-    starts.reserve(solved_groups_);
-    for (std::size_t n = 1; n <= solved_groups_; ++n) {
-      reconstruct(n, starts);
-      fn(n, static_cast<const std::vector<std::size_t>&>(starts));
-    }
-  }
-
  private:
-  void solve_one_layer(std::size_t j);
-
   std::size_t count_ = 0;
   std::size_t max_groups_ = 0;
   std::size_t solved_groups_ = 0;
-  PartitionDp dp_kind_ = PartitionDp::kDivideAndConquer;
   /// Layer-major: parents_[(j - 1) * (count_ + 1) + i] is the best split
   /// point k for dp[j][i] (layer j = one more group than layer j - 1).
   /// Sized for the solved layers only; extend_to() grows it.
@@ -120,23 +95,13 @@ class PartitionTable {
   std::vector<double> dp_cur_;   ///< scratch value row for the next layer
 };
 
-/// Optimal contiguous partitions (by squared group-sum balance) of the MPP
-/// currents into every group count 1..max_n.  Element n-1 of the result is
-/// the best partition into n groups.  Thin materialising wrapper over
-/// PartitionTable (O(N * max_n) memory) for callers that genuinely need
-/// every candidate at once; the EHTR hot path streams instead.
-std::vector<teg::ArrayConfig> balanced_partitions(
-    const std::vector<double>& mpp_currents, std::size_t max_n,
-    PartitionDp dp = PartitionDp::kDivideAndConquer);
-
-/// Warm-start request for ehtr_search.  `incumbent_groups` seeds the
+/// Warm-start seed for ehtr_search.  `incumbent_groups` seeds the
 /// neighbourhood (0 = none; the search then seeds from the converter's
 /// efficient group-count window) and `width` is how far past the seed the
 /// first DP solve reaches.  Purely a performance hint: the certified
 /// extension loop guarantees the chosen config is bit-identical to the
 /// cold sweep for every setting.
 struct EhtrWarmStart {
-  bool enabled = false;
   std::size_t incumbent_groups = 0;
   std::size_t width = 64;
 };
@@ -145,7 +110,7 @@ struct EhtrWarmStart {
 struct EhtrSearchStats {
   std::size_t max_groups = 0;        ///< full sweep bound after clamping
   std::size_t groups_certified = 0;  ///< group counts actually solved+scored
-  bool warm_used = false;            ///< warm pass engaged (prereqs held)
+  bool warm_used = false;            ///< bound usable (no degenerate modules)
 };
 
 /// Full EHTR search: group counts 1..max_groups (0 = all N, values above N
@@ -159,9 +124,9 @@ struct EhtrSearchStats {
 /// for every thread count; if no candidate scores above the sentinel
 /// (e.g. an all-NaN temperature field) the first candidate is returned.
 ///
-/// With `warm.enabled`, the DP is solved only to a neighbourhood of the
-/// incumbent group count and group counts beyond the frontier are pruned
-/// by a provable score bound: any n-group config scores at most
+/// The DP is solved only to a neighbourhood of the warm seed's group
+/// count, and group counts beyond the frontier are pruned by a provable
+/// score bound: any n-group config scores at most
 /// eta_peak * min(P_cap, max_{v in window} v*(Vtop(n)-v)*G/n^2), where
 /// Vtop(n) is the sum of the n largest module open-circuit voltages (each
 /// group's voc is a conductance-weighted mean <= its max member) and G the
@@ -170,11 +135,11 @@ struct EhtrSearchStats {
 /// scoring; only counts the bound strictly rules out are skipped, so the
 /// strict-improvement argmax provably can't land there and the result
 /// stays bit-identical to cold search.  Degenerate inputs (non-finite
-/// vocs or conductances) disable the warm pass entirely.
+/// vocs or conductances) leave no usable bound, so the search falls back
+/// to the full sweep.
 teg::ArrayConfig ehtr_search(const teg::TegArray& array,
                              const power::Converter& converter,
                              std::size_t num_threads = 1,
-                             PartitionDp dp = PartitionDp::kDivideAndConquer,
                              std::size_t max_groups = 0,
                              const EhtrWarmStart& warm = {},
                              EhtrSearchStats* stats = nullptr);
@@ -182,16 +147,14 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
 /// Periodic controller wrapping ehtr_search (0.5 s period per [5]).
 /// `max_groups` bounds both the candidate sweep and the DP parent arena
 /// (0 = no cap); operators of farm-scale arrays use it to trade optimality
-/// headroom for memory.  `warm_start` enables the certified warm pass,
-/// seeding each invocation's neighbourhood with the held config's group
-/// count (`warm_width` past it); decisions are bit-identical either way.
+/// headroom for memory.  Each invocation seeds the certified warm pass
+/// with the held config's group count.
 class EhtrReconfigurer final : public Reconfigurer {
  public:
   EhtrReconfigurer(const teg::DeviceParams& device,
                    const power::ConverterParams& converter,
                    double period_s = 0.5, std::size_t num_threads = 1,
-                   std::size_t max_groups = 0, bool warm_start = false,
-                   std::size_t warm_width = 64);
+                   std::size_t max_groups = 0);
 
   std::string name() const override { return "EHTR"; }
   UpdateResult update(double time_s, const std::vector<double>& delta_t_k,
@@ -202,9 +165,9 @@ class EhtrReconfigurer final : public Reconfigurer {
   /// Stateless between invocations apart from the (next run time, held
   /// config) pair, so checkpoints round-trip trivially.  The DP runs fresh
   /// per invocation and is bit-identical for every thread count and warm
-  /// setting, so the restored decision stream matches regardless of
-  /// num_threads or warm_start (the restored config re-seeds the
-  /// neighbourhood exactly as the live run's would have).
+  /// seed, so the restored decision stream matches regardless of
+  /// num_threads (the restored config re-seeds the neighbourhood exactly
+  /// as the live run's would have).
   bool supports_checkpoint() const override { return true; }
   std::string checkpoint_state() const override;
   void restore_checkpoint_state(const std::string& state) override;
@@ -215,8 +178,6 @@ class EhtrReconfigurer final : public Reconfigurer {
   double period_s_;
   std::size_t num_threads_;
   std::size_t max_groups_;
-  bool warm_start_;
-  std::size_t warm_width_;
   double next_run_time_s_ = 0.0;
   bool has_config_ = false;
   teg::ArrayConfig current_;

@@ -30,8 +30,8 @@ power::OperatingPoint config_operating_point(const teg::TegArray& array,
 
 /// Cached variants: score against a prebuilt ArrayEvaluator in O(groups)
 /// instead of materialising a SeriesString of N module copies.  These are
-/// the hot-path overloads used by the candidate-scoring loops (EHTR, INOR,
-/// exhaustive) and the simulator's per-step evaluation.
+/// the hot-path overloads used by the candidate-scoring loops (EHTR, INOR)
+/// and the simulator's per-step evaluation.
 double config_power_w(const teg::ArrayEvaluator& evaluator,
                       const power::Converter& converter,
                       const teg::ArrayConfig& config);

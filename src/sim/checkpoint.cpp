@@ -12,10 +12,9 @@
 #include "core/ehtr.hpp"
 #include "core/fixed_baseline.hpp"
 #include "core/inor.hpp"
+#include "sim/result_io.hpp"
 #include "sim/spec.hpp"
 #include "util/atomic_file.hpp"
-#include "util/csv.hpp"
-#include "util/float_cmp.hpp"
 #include "util/hash.hpp"
 #include "util/parse.hpp"
 
@@ -25,12 +24,10 @@ namespace {
 
 constexpr const char* kMagic = "# tegrec-checkpoint v1";
 
-// ----------------------------------------------------------------- encode
-//
-// Same line dialect as sim/result_io.cpp: `key = value` scalars plus
-// `# table rows = N` CSV tables at exact precision, so every double
-// round-trips bit-exactly and a restored run continues the original
-// stream bit for bit.
+// Same line dialect as sim/result_io.cpp, whose table codec this file
+// shares: `key = value` scalars plus `# table rows = N` CSV tables at
+// exact precision, so every double round-trips bit-exactly and a restored
+// run continues the original stream bit for bit.
 
 void emit_kv(std::ostringstream& os, const std::string& key,
              const std::string& value) {
@@ -43,145 +40,8 @@ void emit_double(std::ostringstream& os, const std::string& key, double v) {
   emit_kv(os, key, buffer);
 }
 
-void emit_table(std::ostringstream& os, const util::CsvTable& table) {
-  os << "# table rows = " << table.rows.size() << '\n'
-     << util::csv_to_string(table, util::kCsvExactPrecision);
-}
-
-// Field-complete serialisations of SimulationResult and StepRecord — the
-// tegrec_lint cache-key rule cross-checks both structs (and StepperState
-// and StreamConfig) against this file, so growing any of them without
-// extending the codec fails the lint gate.
-util::CsvTable summary_table(const SimulationResult& run) {
-  util::CsvTable t;
-  t.header = {"energy_output_j",   "switch_overhead_j",
-              "avg_runtime_ms",    "runtime_per_invocation_ms",
-              "ideal_energy_j",    "num_invocations",
-              "num_switch_events", "total_switch_actuations",
-              "battery_energy_j",  "final_soc"};
-  t.rows.push_back({run.energy_output_j, run.switch_overhead_j,
-                    run.avg_runtime_ms, run.runtime_per_invocation_ms,
-                    run.ideal_energy_j, static_cast<double>(run.num_invocations),
-                    static_cast<double>(run.num_switch_events),
-                    static_cast<double>(run.total_switch_actuations),
-                    run.battery_energy_j, run.final_soc});
-  return t;
-}
-
-util::CsvTable steps_table(const SimulationResult& run) {
-  util::CsvTable t;
-  t.header = {"time_s",  "gross_power_w",     "net_power_w",
-              "ideal_power_w", "invoked",     "switched",
-              "switch_actuations", "overhead_energy_j", "compute_time_s"};
-  for (const StepRecord& s : run.steps) {
-    t.rows.push_back({s.time_s, s.gross_power_w, s.net_power_w, s.ideal_power_w,
-                      s.invoked ? 1.0 : 0.0, s.switched ? 1.0 : 0.0,
-                      static_cast<double>(s.switch_actuations),
-                      s.overhead_energy_j, s.compute_time_s});
-  }
-  return t;
-}
-
-// ----------------------------------------------------------------- decode
-
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : is_(text) {}
-
-  std::string next() {
-    std::string line;
-    if (!std::getline(is_, line)) {
-      throw std::runtime_error("checkpoint truncated");
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    return line;
-  }
-
-  /// True once every line has been consumed.
-  bool exhausted() {
-    return is_.peek() == std::istringstream::traits_type::eof();
-  }
-
-  /// Consumes a "<prefix><suffix>" line and returns the suffix.
-  std::string expect_prefix(const std::string& prefix) {
-    const std::string line = next();
-    if (line.rfind(prefix, 0) != 0) {
-      throw std::runtime_error("checkpoint: expected '" + prefix +
-                               "', got '" + line + "'");
-    }
-    return line.substr(prefix.size());
-  }
-
-  std::string expect_kv(const std::string& key) {
-    return expect_prefix(key + " = ");
-  }
-
-  util::CsvTable read_table() {
-    const std::size_t rows = static_cast<std::size_t>(
-        util::parse_u64(expect_prefix("# table rows = ")));
-    std::string csv = next();  // header
-    csv += '\n';
-    for (std::size_t i = 0; i < rows; ++i) {
-      csv += next();
-      csv += '\n';
-    }
-    util::CsvTable table = util::csv_from_string(csv);
-    if (table.rows.size() != rows) {
-      throw std::runtime_error("checkpoint: table row count mismatch");
-    }
-    return table;
-  }
-
- private:
-  std::istringstream is_;
-};
-
-double cell(const util::CsvTable& table, std::size_t row,
-            const std::string& name) {
-  for (std::size_t c = 0; c < table.header.size(); ++c) {
-    if (table.header[c] == name) return table.rows.at(row).at(c);
-  }
-  throw std::runtime_error("checkpoint: missing column " + name);
-}
-
-SimulationResult decode_partial(LineReader& reader) {
-  SimulationResult run;
-  run.algorithm = reader.expect_kv("algorithm");
-  const util::CsvTable summary = reader.read_table();
-  if (summary.rows.size() != 1) {
-    throw std::runtime_error("checkpoint: bad summary table");
-  }
-  run.energy_output_j = cell(summary, 0, "energy_output_j");
-  run.switch_overhead_j = cell(summary, 0, "switch_overhead_j");
-  run.avg_runtime_ms = cell(summary, 0, "avg_runtime_ms");
-  run.runtime_per_invocation_ms = cell(summary, 0, "runtime_per_invocation_ms");
-  run.ideal_energy_j = cell(summary, 0, "ideal_energy_j");
-  run.num_invocations =
-      static_cast<std::size_t>(cell(summary, 0, "num_invocations"));
-  run.num_switch_events =
-      static_cast<std::size_t>(cell(summary, 0, "num_switch_events"));
-  run.total_switch_actuations =
-      static_cast<std::size_t>(cell(summary, 0, "total_switch_actuations"));
-  run.battery_energy_j = cell(summary, 0, "battery_energy_j");
-  run.final_soc = cell(summary, 0, "final_soc");
-
-  const util::CsvTable steps = reader.read_table();
-  run.steps.resize(steps.rows.size());
-  for (std::size_t i = 0; i < steps.rows.size(); ++i) {
-    StepRecord& s = run.steps[i];
-    s.time_s = cell(steps, i, "time_s");
-    s.gross_power_w = cell(steps, i, "gross_power_w");
-    s.net_power_w = cell(steps, i, "net_power_w");
-    s.ideal_power_w = cell(steps, i, "ideal_power_w");
-    // 0/1 flags round-tripped at exact precision: bit-value compare.
-    s.invoked = !util::is_exactly_zero(cell(steps, i, "invoked"));
-    s.switched = !util::is_exactly_zero(cell(steps, i, "switched"));
-    s.switch_actuations =
-        static_cast<std::size_t>(cell(steps, i, "switch_actuations"));
-    s.overhead_energy_j = cell(steps, i, "overhead_energy_j");
-    s.compute_time_s = cell(steps, i, "compute_time_s");
-  }
-  return run;
+std::string expect_kv(detail::ArtifactReader& reader, const std::string& key) {
+  return reader.expect_prefix(key + " = ");
 }
 
 }  // namespace
@@ -231,8 +91,7 @@ std::unique_ptr<core::Reconfigurer> make_stream_controller(
     case StreamScheme::kEhtr:
       return std::make_unique<core::EhtrReconfigurer>(
           device, charger, config.control_period_s, config.sim.num_threads,
-          config.sim.ehtr_max_groups, config.sim.ehtr_warm_start,
-          config.sim.ehtr_warm_width);
+          config.sim.ehtr_max_groups);
     case StreamScheme::kBaseline:
       return std::make_unique<core::FixedBaselineReconfigurer>(
           core::FixedBaselineReconfigurer::square_grid(config.num_modules));
@@ -265,6 +124,8 @@ std::string stream_config_fingerprint(const StreamConfig& config) {
   return util::hex64(a) + util::hex64(b);
 }
 
+// Field-complete serialisation of StepperState — the tegrec_lint
+// cache-key rule cross-checks it (and StreamConfig) against this file.
 std::string encode_checkpoint(const StepperState& state,
                               const std::string& fingerprint_text,
                               const std::vector<std::string>& extra_lines) {
@@ -298,8 +159,7 @@ std::string encode_checkpoint(const StepperState& state,
      << state.controller_state;
 
   emit_kv(os, "algorithm", state.partial.algorithm);
-  emit_table(os, summary_table(state.partial));
-  emit_table(os, steps_table(state.partial));
+  detail::emit_run_tables(os, state.partial);
 
   os << "# extra lines = " << extra_lines.size() << '\n';
   for (const std::string& line : extra_lines) os << line << '\n';
@@ -315,11 +175,11 @@ DecodedCheckpoint decode_checkpoint_impl(
     throw std::runtime_error(
         "checkpoint: missing final newline (truncated?)");
   }
-  LineReader reader(text);
+  detail::ArtifactReader reader(text, "checkpoint");
   if (reader.next() != kMagic) {
-    throw std::runtime_error(
-        "checkpoint: bad magic (not a checkpoint, or written by an "
-        "incompatible schema version)");
+    reader.fail(
+        "bad magic (not a checkpoint, or written by an incompatible schema "
+        "version)");
   }
   const std::size_t fp_lines = static_cast<std::size_t>(
       util::parse_u64(reader.expect_prefix("# config lines = ")));
@@ -329,19 +189,18 @@ DecodedCheckpoint decode_checkpoint_impl(
     fp_text += '\n';
   }
   if (fp_text != expected_fingerprint_text) {
-    throw std::runtime_error(
-        "checkpoint: configuration stamp mismatch — this checkpoint was "
-        "written under a different stream configuration and cannot resume "
-        "here");
+    reader.fail(
+        "configuration stamp mismatch — this checkpoint was written under a "
+        "different stream configuration and cannot resume here");
   }
 
   DecodedCheckpoint out;
-  out.state.steps_consumed =
-      static_cast<std::size_t>(util::parse_u64(reader.expect_kv("steps_consumed")));
+  out.state.steps_consumed = static_cast<std::size_t>(
+      util::parse_u64(expect_kv(reader, "steps_consumed")));
   out.state.total_compute_s =
-      util::parse_double(reader.expect_kv("total_compute_s"));
-  out.state.has_fabric = util::parse_bool(reader.expect_kv("has_fabric"));
-  const std::string starts = reader.expect_kv("fabric_group_starts");
+      util::parse_double(expect_kv(reader, "total_compute_s"));
+  out.state.has_fabric = util::parse_bool(expect_kv(reader, "has_fabric"));
+  const std::string starts = expect_kv(reader, "fabric_group_starts");
   if (!starts.empty()) {
     std::istringstream is(starts);
     std::string token;
@@ -350,9 +209,9 @@ DecodedCheckpoint decode_checkpoint_impl(
           static_cast<std::size_t>(util::parse_u64(token)));
     }
   }
-  out.state.battery_soc = util::parse_double(reader.expect_kv("battery_soc"));
+  out.state.battery_soc = util::parse_double(expect_kv(reader, "battery_soc"));
   out.state.battery_energy_j =
-      util::parse_double(reader.expect_kv("battery_energy_j"));
+      util::parse_double(expect_kv(reader, "battery_energy_j"));
 
   const std::size_t blob_lines = static_cast<std::size_t>(
       util::parse_u64(reader.expect_prefix("# controller lines = ")));
@@ -361,10 +220,10 @@ DecodedCheckpoint decode_checkpoint_impl(
     out.state.controller_state += '\n';
   }
 
-  out.state.partial = decode_partial(reader);
+  out.state.partial.algorithm = expect_kv(reader, "algorithm");
+  detail::read_run_tables(reader, out.state.partial);
   if (out.state.partial.steps.size() != out.state.steps_consumed) {
-    throw std::runtime_error(
-        "checkpoint: steps_consumed does not match the step table");
+    reader.fail("steps_consumed does not match the step table");
   }
 
   const std::size_t extra = static_cast<std::size_t>(
@@ -373,12 +232,8 @@ DecodedCheckpoint decode_checkpoint_impl(
   for (std::size_t i = 0; i < extra; ++i) {
     out.extra_lines.push_back(reader.next());
   }
-  if (reader.next() != "# end") {
-    throw std::runtime_error("checkpoint: missing terminator (truncated?)");
-  }
-  if (!reader.exhausted()) {
-    throw std::runtime_error("checkpoint: trailing data after terminator");
-  }
+  if (reader.next() != "# end") reader.fail("missing terminator (truncated?)");
+  if (!reader.exhausted()) reader.fail("trailing data after terminator");
   return out;
 }
 

@@ -79,9 +79,7 @@ ComparisonResult run_comparison_direct(const thermal::TemperatureTrace& trace,
   if (options.include_ehtr) {
     core::EhtrReconfigurer ehtr(device, charger, options.control_period_s,
                                 options.sim.num_threads,
-                                options.sim.ehtr_max_groups,
-                                options.sim.ehtr_warm_start,
-                                options.sim.ehtr_warm_width);
+                                options.sim.ehtr_max_groups);
     out.runs.push_back(run_simulation(ehtr, trace, options.sim));
   }
   if (options.include_baseline) {

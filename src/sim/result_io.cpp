@@ -11,149 +11,142 @@
 
 namespace tegrec::sim {
 
-namespace {
+namespace detail {
 
-constexpr const char* kMagic = "# tegrec-result v1";
+std::string ArtifactReader::next() {
+  std::string line;
+  if (!std::getline(is_, line)) throw std::runtime_error(what_ + " truncated");
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return line;
+}
 
-// ----------------------------------------------------------------- encode
+bool ArtifactReader::exhausted() {
+  return is_.peek() == std::istringstream::traits_type::eof();
+}
 
-void emit_table(std::ostringstream& os, const util::CsvTable& table) {
+std::string ArtifactReader::expect_prefix(const std::string& prefix) {
+  const std::string line = next();
+  if (line.rfind(prefix, 0) != 0) {
+    fail("expected '" + prefix + "', got '" + line + "'");
+  }
+  return line.substr(prefix.size());
+}
+
+util::CsvTable ArtifactReader::read_table() {
+  const std::size_t rows = static_cast<std::size_t>(
+      util::parse_u64(expect_prefix("# table rows = ")));
+  std::string csv = next();  // header
+  csv += '\n';
+  for (std::size_t i = 0; i < rows; ++i) {
+    csv += next();
+    csv += '\n';
+  }
+  util::CsvTable table = util::csv_from_string(csv);
+  if (table.rows.size() != rows) fail("table row count mismatch");
+  return table;
+}
+
+double ArtifactReader::cell(const util::CsvTable& table, std::size_t row,
+                            const std::string& name) const {
+  for (std::size_t c = 0; c < table.header.size(); ++c) {
+    if (table.header[c] == name) return table.rows.at(row).at(c);
+  }
+  fail("missing column " + name);
+}
+
+void ArtifactReader::fail(const std::string& detail) const {
+  throw std::runtime_error(what_ + ": " + detail);
+}
+
+void emit_table(std::ostream& os, const util::CsvTable& table) {
   os << "# table rows = " << table.rows.size() << '\n'
      << util::csv_to_string(table, util::kCsvExactPrecision);
 }
 
-util::CsvTable simulation_summary_table(const SimulationResult& run) {
-  util::CsvTable t;
-  t.header = {"energy_output_j",   "switch_overhead_j",
-              "avg_runtime_ms",    "runtime_per_invocation_ms",
-              "ideal_energy_j",    "num_invocations",
-              "num_switch_events", "total_switch_actuations",
-              "battery_energy_j",  "final_soc"};
-  t.rows.push_back({run.energy_output_j, run.switch_overhead_j,
-                    run.avg_runtime_ms, run.runtime_per_invocation_ms,
-                    run.ideal_energy_j, static_cast<double>(run.num_invocations),
-                    static_cast<double>(run.num_switch_events),
-                    static_cast<double>(run.total_switch_actuations),
-                    run.battery_energy_j, run.final_soc});
-  return t;
-}
+// Field-complete serialisation of SimulationResult and StepRecord — the
+// tegrec_lint cache-key rule cross-checks both structs against this file,
+// so growing either without extending the codec fails the lint gate.
+void emit_run_tables(std::ostream& os, const SimulationResult& run) {
+  util::CsvTable summary;
+  summary.header = {"energy_output_j",   "switch_overhead_j",
+                    "avg_runtime_ms",    "runtime_per_invocation_ms",
+                    "ideal_energy_j",    "num_invocations",
+                    "num_switch_events", "total_switch_actuations",
+                    "battery_energy_j",  "final_soc"};
+  summary.rows.push_back(
+      {run.energy_output_j, run.switch_overhead_j, run.avg_runtime_ms,
+       run.runtime_per_invocation_ms, run.ideal_energy_j,
+       static_cast<double>(run.num_invocations),
+       static_cast<double>(run.num_switch_events),
+       static_cast<double>(run.total_switch_actuations), run.battery_energy_j,
+       run.final_soc});
+  emit_table(os, summary);
 
-util::CsvTable steps_table(const SimulationResult& run) {
-  util::CsvTable t;
-  t.header = {"time_s",  "gross_power_w",     "net_power_w",
-              "ideal_power_w", "invoked",     "switched",
-              "switch_actuations", "overhead_energy_j", "compute_time_s"};
+  util::CsvTable steps;
+  steps.header = {"time_s",  "gross_power_w",     "net_power_w",
+                  "ideal_power_w", "invoked",     "switched",
+                  "switch_actuations", "overhead_energy_j", "compute_time_s"};
   for (const StepRecord& s : run.steps) {
-    t.rows.push_back({s.time_s, s.gross_power_w, s.net_power_w, s.ideal_power_w,
-                      s.invoked ? 1.0 : 0.0, s.switched ? 1.0 : 0.0,
-                      static_cast<double>(s.switch_actuations),
-                      s.overhead_energy_j, s.compute_time_s});
+    steps.rows.push_back({s.time_s, s.gross_power_w, s.net_power_w,
+                          s.ideal_power_w, s.invoked ? 1.0 : 0.0,
+                          s.switched ? 1.0 : 0.0,
+                          static_cast<double>(s.switch_actuations),
+                          s.overhead_energy_j, s.compute_time_s});
   }
-  return t;
+  emit_table(os, steps);
 }
 
-// ----------------------------------------------------------------- decode
-//
-// Internal failures throw std::runtime_error; decode_result() converts
-// every throw into nullopt (a cache miss).
-
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : is_(text) {}
-
-  std::string next() {
-    std::string line;
-    if (!std::getline(is_, line)) {
-      throw std::runtime_error("result artifact truncated");
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    return line;
-  }
-
-  /// Consumes a "<prefix><suffix>" line and returns the suffix.
-  std::string expect_prefix(const std::string& prefix) {
-    const std::string line = next();
-    if (line.rfind(prefix, 0) != 0) {
-      throw std::runtime_error("result artifact: expected '" + prefix +
-                               "', got '" + line + "'");
-    }
-    return line.substr(prefix.size());
-  }
-
-  util::CsvTable read_table() {
-    const std::size_t rows = static_cast<std::size_t>(
-        util::parse_u64(expect_prefix("# table rows = ")));
-    std::string csv = next();  // header
-    csv += '\n';
-    for (std::size_t i = 0; i < rows; ++i) {
-      csv += next();
-      csv += '\n';
-    }
-    util::CsvTable table = util::csv_from_string(csv);
-    if (table.rows.size() != rows) {
-      throw std::runtime_error("result artifact: row count mismatch");
-    }
-    return table;
-  }
-
- private:
-  std::istringstream is_;
-};
-
-double cell(const util::CsvTable& table, std::size_t row,
-            const std::string& name) {
-  for (std::size_t c = 0; c < table.header.size(); ++c) {
-    if (table.header[c] == name) return table.rows.at(row).at(c);
-  }
-  throw std::runtime_error("result artifact: missing column " + name);
-}
-
-SimulationResult decode_run(LineReader& reader) {
-  SimulationResult run;
-  run.algorithm = reader.expect_prefix("# run algorithm = ");
+void read_run_tables(ArtifactReader& reader, SimulationResult& run) {
   const util::CsvTable summary = reader.read_table();
-  if (summary.rows.size() != 1) {
-    throw std::runtime_error("result artifact: bad summary table");
-  }
-  run.energy_output_j = cell(summary, 0, "energy_output_j");
-  run.switch_overhead_j = cell(summary, 0, "switch_overhead_j");
-  run.avg_runtime_ms = cell(summary, 0, "avg_runtime_ms");
-  run.runtime_per_invocation_ms = cell(summary, 0, "runtime_per_invocation_ms");
-  run.ideal_energy_j = cell(summary, 0, "ideal_energy_j");
-  run.num_invocations =
-      static_cast<std::size_t>(cell(summary, 0, "num_invocations"));
-  run.num_switch_events =
-      static_cast<std::size_t>(cell(summary, 0, "num_switch_events"));
+  if (summary.rows.size() != 1) reader.fail("bad summary table");
+  const auto sum = [&](const std::string& name) {
+    return reader.cell(summary, 0, name);
+  };
+  run.energy_output_j = sum("energy_output_j");
+  run.switch_overhead_j = sum("switch_overhead_j");
+  run.avg_runtime_ms = sum("avg_runtime_ms");
+  run.runtime_per_invocation_ms = sum("runtime_per_invocation_ms");
+  run.ideal_energy_j = sum("ideal_energy_j");
+  run.num_invocations = static_cast<std::size_t>(sum("num_invocations"));
+  run.num_switch_events = static_cast<std::size_t>(sum("num_switch_events"));
   run.total_switch_actuations =
-      static_cast<std::size_t>(cell(summary, 0, "total_switch_actuations"));
-  run.battery_energy_j = cell(summary, 0, "battery_energy_j");
-  run.final_soc = cell(summary, 0, "final_soc");
+      static_cast<std::size_t>(sum("total_switch_actuations"));
+  run.battery_energy_j = sum("battery_energy_j");
+  run.final_soc = sum("final_soc");
 
   const util::CsvTable steps = reader.read_table();
   run.steps.resize(steps.rows.size());
   for (std::size_t i = 0; i < steps.rows.size(); ++i) {
+    const auto col = [&](const std::string& name) {
+      return reader.cell(steps, i, name);
+    };
     StepRecord& s = run.steps[i];
-    s.time_s = cell(steps, i, "time_s");
-    s.gross_power_w = cell(steps, i, "gross_power_w");
-    s.net_power_w = cell(steps, i, "net_power_w");
-    s.ideal_power_w = cell(steps, i, "ideal_power_w");
+    s.time_s = col("time_s");
+    s.gross_power_w = col("gross_power_w");
+    s.net_power_w = col("net_power_w");
+    s.ideal_power_w = col("ideal_power_w");
     // 0/1 flags round-tripped at exact precision: bit-value compare.
-    s.invoked = !util::is_exactly_zero(cell(steps, i, "invoked"));
-    s.switched = !util::is_exactly_zero(cell(steps, i, "switched"));
-    s.switch_actuations =
-        static_cast<std::size_t>(cell(steps, i, "switch_actuations"));
-    s.overhead_energy_j = cell(steps, i, "overhead_energy_j");
-    s.compute_time_s = cell(steps, i, "compute_time_s");
+    s.invoked = !util::is_exactly_zero(col("invoked"));
+    s.switched = !util::is_exactly_zero(col("switched"));
+    s.switch_actuations = static_cast<std::size_t>(col("switch_actuations"));
+    s.overhead_energy_j = col("overhead_energy_j");
+    s.compute_time_s = col("compute_time_s");
   }
-  return run;
 }
+
+}  // namespace detail
+
+namespace {
+
+constexpr const char* kMagic = "# tegrec-result v1";
+
+// Internal failures throw std::runtime_error; decode_result() converts
+// every throw into nullopt (a cache miss).
 
 ExperimentResult decode_or_throw(const std::string& text,
                                  const std::string& expected_fp_text) {
-  LineReader reader(text);
-  if (reader.next() != kMagic) {
-    throw std::runtime_error("result artifact: bad magic");
-  }
+  detail::ArtifactReader reader(text, "result artifact");
+  if (reader.next() != kMagic) reader.fail("bad magic");
   const std::string kind = reader.expect_prefix("# kind = ");
   const std::size_t fp_lines = static_cast<std::size_t>(
       util::parse_u64(reader.expect_prefix("# fingerprint-lines = ")));
@@ -165,7 +158,7 @@ ExperimentResult decode_or_throw(const std::string& text,
   if (fp_text != expected_fp_text) {
     // A different spec hashed to this fingerprint (or the schema moved
     // under the artifact): miss, never a wrong result.
-    throw std::runtime_error("result artifact: fingerprint text mismatch");
+    reader.fail("fingerprint text mismatch");
   }
 
   ExperimentResult out;
@@ -174,7 +167,9 @@ ExperimentResult decode_or_throw(const std::string& text,
     const std::size_t num_runs = static_cast<std::size_t>(
         util::parse_u64(reader.expect_prefix("# runs = ")));
     for (std::size_t i = 0; i < num_runs; ++i) {
-      out.comparison.runs.push_back(decode_run(reader));
+      SimulationResult& run = out.comparison.runs.emplace_back();
+      run.algorithm = reader.expect_prefix("# run algorithm = ");
+      detail::read_run_tables(reader, run);
     }
   } else if (kind == "montecarlo") {
     out.kind = ExperimentKind::kMonteCarlo;
@@ -182,13 +177,15 @@ ExperimentResult decode_or_throw(const std::string& text,
     out.monte_carlo.samples.resize(samples.rows.size());
     for (std::size_t i = 0; i < samples.rows.size(); ++i) {
       MonteCarloSample& s = out.monte_carlo.samples[i];
-      s.seed = (static_cast<std::uint64_t>(cell(samples, i, "seed_hi")) << 32) |
-               static_cast<std::uint64_t>(cell(samples, i, "seed_lo"));
-      s.dnor_energy_j = cell(samples, i, "dnor_energy_j");
-      s.baseline_energy_j = cell(samples, i, "baseline_energy_j");
-      s.gain = cell(samples, i, "gain");
-      s.dnor_overhead_j = cell(samples, i, "dnor_overhead_j");
-      s.dnor_switches = cell(samples, i, "dnor_switches");
+      const auto half = [&](const char* name) {
+        return static_cast<std::uint64_t>(reader.cell(samples, i, name));
+      };
+      s.seed = (half("seed_hi") << 32) | half("seed_lo");
+      s.dnor_energy_j = reader.cell(samples, i, "dnor_energy_j");
+      s.baseline_energy_j = reader.cell(samples, i, "baseline_energy_j");
+      s.gain = reader.cell(samples, i, "gain");
+      s.dnor_overhead_j = reader.cell(samples, i, "dnor_overhead_j");
+      s.dnor_switches = reader.cell(samples, i, "dnor_switches");
     }
     detail::fold_monte_carlo_stats(out.monte_carlo);
   } else if (kind == "sweep") {
@@ -197,18 +194,16 @@ ExperimentResult decode_or_throw(const std::string& text,
     out.sweep.resize(points.rows.size());
     for (std::size_t i = 0; i < points.rows.size(); ++i) {
       SweepPoint& p = out.sweep[i];
-      p.value = cell(points, i, "value");
-      p.dnor_energy_j = cell(points, i, "dnor_energy_j");
-      p.baseline_energy_j = cell(points, i, "baseline_energy_j");
-      p.gain = cell(points, i, "gain");
-      p.dnor_ratio_to_ideal = cell(points, i, "dnor_ratio_to_ideal");
+      p.value = reader.cell(points, i, "value");
+      p.dnor_energy_j = reader.cell(points, i, "dnor_energy_j");
+      p.baseline_energy_j = reader.cell(points, i, "baseline_energy_j");
+      p.gain = reader.cell(points, i, "gain");
+      p.dnor_ratio_to_ideal = reader.cell(points, i, "dnor_ratio_to_ideal");
     }
   } else {
-    throw std::runtime_error("result artifact: unknown kind " + kind);
+    reader.fail("unknown kind " + kind);
   }
-  if (reader.next() != "# end") {
-    throw std::runtime_error("result artifact: missing terminator");
-  }
+  if (reader.next() != "# end") reader.fail("missing terminator");
   return out;
 }
 
@@ -228,8 +223,7 @@ std::string encode_result(const ExperimentResult& result,
       os << "# runs = " << result.comparison.runs.size() << '\n';
       for (const SimulationResult& run : result.comparison.runs) {
         os << "# run algorithm = " << run.algorithm << '\n';
-        emit_table(os, simulation_summary_table(run));
-        emit_table(os, steps_table(run));
+        detail::emit_run_tables(os, run);
       }
       break;
     }
@@ -250,7 +244,7 @@ std::string encode_result(const ExperimentResult& result,
                                 s.dnor_energy_j, s.baseline_energy_j, s.gain,
                                 s.dnor_overhead_j, s.dnor_switches});
       }
-      emit_table(os, samples);
+      detail::emit_table(os, samples);
       break;
     }
     case ExperimentKind::kSweep: {
@@ -264,7 +258,7 @@ std::string encode_result(const ExperimentResult& result,
         points.rows.push_back({p.value, p.dnor_energy_j, p.baseline_energy_j,
                                p.gain, p.dnor_ratio_to_ideal});
       }
-      emit_table(os, points);
+      detail::emit_table(os, points);
       break;
     }
   }

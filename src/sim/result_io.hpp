@@ -20,9 +20,12 @@
 #pragma once
 
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 
 #include "sim/spec.hpp"
+#include "util/csv.hpp"
 
 namespace tegrec::sim {
 
@@ -38,5 +41,48 @@ std::string encode_result(const ExperimentResult& result,
 /// a corrupt artifact can only cost a re-simulation.
 std::optional<ExperimentResult> decode_result(
     const std::string& text, const std::string& expected_fingerprint_text);
+
+namespace detail {
+
+// The line dialect shared with the checkpoint codec (sim/checkpoint.cpp):
+// `# table rows = N` headed CSV tables at exact precision, and the
+// SimulationResult summary + step tables built from them.
+
+/// Line reader over an artifact.  Every error is a std::runtime_error
+/// whose message starts with `what` ("result artifact" / "checkpoint").
+class ArtifactReader {
+ public:
+  ArtifactReader(const std::string& text, std::string what)
+      : is_(text), what_(std::move(what)) {}
+
+  /// The next line (a trailing '\r' stripped); throws when none is left.
+  std::string next();
+  /// True once every line has been consumed.
+  bool exhausted();
+  /// Consumes a "<prefix><suffix>" line and returns the suffix.
+  std::string expect_prefix(const std::string& prefix);
+  /// Reads one table written by emit_table.
+  util::CsvTable read_table();
+  /// The named column's value in `row`.
+  double cell(const util::CsvTable& table, std::size_t row,
+              const std::string& name) const;
+  /// Throws std::runtime_error("<what>: <detail>").
+  [[noreturn]] void fail(const std::string& detail) const;
+
+ private:
+  std::istringstream is_;
+  std::string what_;
+};
+
+void emit_table(std::ostream& os, const util::CsvTable& table);
+
+/// Writes a run's summary table, then its step table (every field of
+/// SimulationResult but `algorithm`, which the caller frames itself).
+void emit_run_tables(std::ostream& os, const SimulationResult& run);
+
+/// Reads the two tables emit_run_tables wrote into `run`.
+void read_run_tables(ArtifactReader& reader, SimulationResult& run);
+
+}  // namespace detail
 
 }  // namespace tegrec::sim

@@ -33,15 +33,6 @@ struct SimulationOptions {
   /// parent arena — the dominant allocation at farm scale — at the cost of
   /// never choosing a config with more than this many series groups.
   std::size_t ehtr_max_groups = 0;
-  /// Warm-start EHTR's partition DP from the held config's group count
-  /// (docs/actuation.md).  Chosen configs are proven bit-identical to cold
-  /// search, but the knob still participates in the spec fingerprint: it
-  /// gates a certified-pruning code path whose equivalence is a theorem
-  /// about this implementation, not a schema-level identity.
-  bool ehtr_warm_start = false;
-  /// How far past the incumbent group count the warm pass solves before
-  /// consulting the score bound.  Fingerprinted for the same reason.
-  std::size_t ehtr_warm_width = 64;
 };
 
 /// One control period of the run.

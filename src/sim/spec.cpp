@@ -420,11 +420,6 @@ void bind(FieldIo& io, SimulationOptions& s) {
   }
   io.field("charge_overhead", s.charge_overhead);
   io.field("ehtr_max_groups", s.ehtr_max_groups);
-  // Warm-start knobs are fingerprinted even though warm results are proven
-  // bit-identical to cold: they select a distinct code path, and the cache
-  // key must not encode an equivalence theorem the schema can't check.
-  io.field("ehtr_warm_start", s.ehtr_warm_start);
-  io.field("ehtr_warm_width", s.ehtr_warm_width);
   io.exec_field("num_threads", s.num_threads);
 }
 

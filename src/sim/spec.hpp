@@ -41,8 +41,9 @@ namespace tegrec::sim {
 /// it) changes; stale cache artifacts then miss instead of mismatching.
 /// v2: named workload scenarios (trace.scenario) and the process-load /
 /// stop-start / cold-start segment fields.
-/// v3: EHTR warm-start knobs (sim.ehtr_warm_start, sim.ehtr_warm_width).
-inline constexpr int kSpecSchemaVersion = 3;
+/// v3: the two EHTR warm-start knobs (warm on/off and its width).
+/// v4: those knobs removed — the certified warm search is EHTR's only path.
+inline constexpr int kSpecSchemaVersion = 4;
 
 enum class ExperimentKind { kComparison, kMonteCarlo, kSweep };
 

@@ -365,7 +365,11 @@ void LineTelemetrySource::process_on_grid(double time,
   const double tol = options_.dt_s > 0.0
                          ? 0.5 * dt_s_
                          : 1e-6 * std::max({1.0, dt_s_, std::abs(expected)});
-  if (k_real < 0.0 || std::abs(time - expected) > tol) {
+  // Indices from 2^53 up are not exactly representable (nor castable to
+  // size_t everywhere), so such a stamp has no grid point either.
+  constexpr double kMaxGridIndex = 9007199254740992.0;  // 2^53
+  if (!(k_real >= 0.0 && k_real < kMaxGridIndex) ||
+      std::abs(time - expected) > tol) {
     throw std::runtime_error(
         "telemetry: timestamp " + std::to_string(time) +
         " is not on the grid (epoch " + std::to_string(epoch_s_) + ", dt " +

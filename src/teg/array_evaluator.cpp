@@ -11,15 +11,11 @@
 
 namespace tegrec::teg {
 
-namespace {
+namespace detail {
 
-// Both block kernels compute, for each group k in [0, count), the port
-// model of modules [starts[k], starts[k+1]):
-//   r[k]   = 1 / (cp[starts[k+1]] - cp[starts[k]])
-//   voc[k] = (np[starts[k+1]] - np[starts[k]]) * r[k]
-// Every step is a single exactly-rounded IEEE-754 operation (subtract,
-// divide, multiply — no fused ops in either kernel), so the buffers they
-// fill are bit-identical; the caller owns the (sequential) accumulation.
+// No fused operations in either kernel (subtract, divide, multiply only),
+// so both fill bit-identical buffers; the caller owns the (sequential)
+// accumulation.
 void group_block_scalar(const double* cp, const double* np,
                         const std::size_t* starts, std::size_t count,
                         double* voc, double* r) {
@@ -32,7 +28,7 @@ void group_block_scalar(const double* cp, const double* np,
 }
 
 #if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2"))) void group_block_avx2(
+__attribute__((target("avx2"))) void group_block_simd(
     const double* cp, const double* np, const std::size_t* starts,
     std::size_t count, double* voc, double* r) {
   const __m256d one = _mm256_set1_pd(1.0);
@@ -53,16 +49,17 @@ __attribute__((target("avx2"))) void group_block_avx2(
     _mm256_storeu_pd(r + k, rv);
     _mm256_storeu_pd(voc + k, _mm256_mul_pd(nd, rv));
   }
-  for (; k < count; ++k) {
-    const double gd = cp[starts[k + 1]] - cp[starts[k]];
-    const double nd = np[starts[k + 1]] - np[starts[k]];
-    r[k] = 1.0 / gd;
-    voc[k] = nd * r[k];
-  }
+  group_block_scalar(cp, np, starts + k, count - k, voc + k, r + k);
+}
+#else
+void group_block_simd(const double* cp, const double* np,
+                      const std::size_t* starts, std::size_t count,
+                      double* voc, double* r) {
+  group_block_scalar(cp, np, starts, count, voc, r);
 }
 #endif
 
-}  // namespace
+}  // namespace detail
 
 ArrayEvaluator::ArrayEvaluator(const TegArray& array) {
   const std::size_t n = array.size();
@@ -85,14 +82,6 @@ bool ArrayEvaluator::simd_available() {
 #else
   return false;
 #endif
-}
-
-void ArrayEvaluator::set_kernel(ScoringKernel kernel) {
-  if (kernel == ScoringKernel::kSimd && !simd_available()) {
-    throw std::invalid_argument(
-        "ArrayEvaluator::set_kernel: SIMD kernel unavailable on this host");
-  }
-  kernel_ = kernel;
 }
 
 LinearSource ArrayEvaluator::group_equivalent(std::size_t begin,
@@ -135,12 +124,9 @@ LinearSource ArrayEvaluator::string_equivalent(
     throw std::out_of_range("ArrayEvaluator::group_equivalent: bad range");
   }
 
-#if defined(__x86_64__) || defined(__i386__)
-  static const bool simd_ok = simd_available();
-  const bool use_simd =
-      kernel_ == ScoringKernel::kSimd ||
-      (kernel_ == ScoringKernel::kAuto && simd_ok);
-#endif
+  static const auto group_block = simd_available()
+                                       ? detail::group_block_simd
+                                       : detail::group_block_scalar;
   const double* cp = conductance_prefix_.data();
   const double* np = norton_prefix_.data();
 
@@ -154,16 +140,7 @@ LinearSource ArrayEvaluator::string_equivalent(
     // configuration, whose end is the array size; the kernels handle the
     // uniform prefix, the final group is patched in below.
     const std::size_t uniform = j0 + len < m ? len : len - 1;
-#if defined(__x86_64__) || defined(__i386__)
-    if (use_simd) {
-      group_block_avx2(cp, np, group_starts.data() + j0, uniform, voc_buf,
-                       r_buf);
-    } else
-#endif
-    {
-      group_block_scalar(cp, np, group_starts.data() + j0, uniform, voc_buf,
-                         r_buf);
-    }
+    group_block(cp, np, group_starts.data() + j0, uniform, voc_buf, r_buf);
     if (uniform < len) {
       const double gd = cp[size()] - cp[group_starts[m - 1]];
       const double nd = np[size()] - np[group_starts[m - 1]];

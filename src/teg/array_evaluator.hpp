@@ -14,11 +14,12 @@
 // The per-group arithmetic (two prefix lookups, a subtraction, a division,
 // a multiplication per prefix array) is data-parallel across group
 // boundaries, so the hot span overload computes group port models in fixed
-// blocks through a runtime-dispatched SIMD kernel (AVX2 gathers on x86-64)
-// with a scalar block kernel kept as the oracle.  Both kernels perform the
-// identical exactly-rounded IEEE operations per group and feed one shared
-// sequential accumulation loop, so every kernel choice returns bit-identical
-// port models — enforced by tests/test_ehtr_warm.cpp.
+// blocks through a runtime-dispatched SIMD kernel (AVX2 gathers on x86-64),
+// falling back to a scalar block kernel on hosts without it.  Both kernels
+// perform the identical exactly-rounded IEEE operations per group and feed
+// one shared sequential accumulation loop, so either host returns
+// bit-identical port models — enforced by differential tests that run both
+// kernels directly through the test oracle library (tests/oracle/).
 #pragma once
 
 #include <cstddef>
@@ -40,12 +41,25 @@ struct LinearSource {
   double mpp_power_w() const { return voc_v * voc_v / (4.0 * r_ohm); }
 };
 
-/// Which block kernel evaluates per-group port models in the span overload.
-enum class ScoringKernel {
-  kAuto,    ///< SIMD when the host CPU supports it, scalar otherwise
-  kScalar,  ///< portable scalar blocks — the reference oracle
-  kSimd,    ///< vectorised blocks (AVX2); bit-identical to kScalar
-};
+namespace detail {
+
+/// The block kernels behind ArrayEvaluator::string_equivalent.  For each
+/// group k in [0, count) they write the port model of modules
+/// [starts[k], starts[k+1]) from the conductance / Norton prefix sums:
+///   r[k] = 1 / (cp[starts[k+1]] - cp[starts[k]])
+///   voc[k] = (np[starts[k+1]] - np[starts[k]]) * r[k]
+/// Every step is one exactly-rounded IEEE-754 operation in both kernels,
+/// so the buffers they fill are bit-identical.
+void group_block_scalar(const double* cp, const double* np,
+                        const std::size_t* starts, std::size_t count,
+                        double* voc, double* r);
+/// Vectorised (AVX2) variant; call only when
+/// ArrayEvaluator::simd_available().
+void group_block_simd(const double* cp, const double* np,
+                      const std::size_t* starts, std::size_t count,
+                      double* voc, double* r);
+
+}  // namespace detail
 
 class ArrayEvaluator {
  public:
@@ -60,11 +74,6 @@ class ArrayEvaluator {
   /// binary carries both kernels.
   static bool simd_available();
 
-  /// Selects the block kernel.  kSimd on a host without SIMD support
-  /// throws std::invalid_argument; kAuto (the default) never throws.
-  void set_kernel(ScoringKernel kernel);
-  ScoringKernel kernel() const { return kernel_; }
-
   /// Thevenin equivalent of modules [begin, end) wired in parallel.
   LinearSource group_equivalent(std::size_t begin, std::size_t end) const;
 
@@ -75,9 +84,9 @@ class ArrayEvaluator {
   /// increasing, all < size(); the last group runs to the end).  This is
   /// the streaming hot path: EHTR scores candidates straight out of the
   /// partition backtrack without materialising an ArrayConfig per
-  /// candidate.  Group values are computed block-wise by the selected
+  /// candidate.  Group values are computed block-wise by the host's
   /// kernel and accumulated sequentially in group order, so the result is
-  /// bit-identical for every kernel and to the ArrayConfig overload.
+  /// bit-identical for either kernel and to the ArrayConfig overload.
   LinearSource string_equivalent(std::span<const std::size_t> group_starts) const;
 
   /// Ideal-charger MPP power of a configuration (closed form).
@@ -88,16 +97,10 @@ class ArrayEvaluator {
   /// Sum of per-module MPPs: the P_ideal normaliser (config-independent).
   double ideal_power_w() const { return ideal_power_w_; }
 
-  /// Total module conductance sum(1/R_i) — the whole-array prefix value.
-  /// Feeds EHTR's warm-start score bound (r_string >= n^2 / conductance
-  /// for any n-group partition, by AM-HM).
-  double total_conductance_s() const { return conductance_prefix_.back(); }
-
  private:
   std::vector<double> conductance_prefix_;  ///< prefix sums of 1/R_i
   std::vector<double> norton_prefix_;       ///< prefix sums of Voc_i/R_i
   double ideal_power_w_ = 0.0;
-  ScoringKernel kernel_ = ScoringKernel::kAuto;
 };
 
 }  // namespace tegrec::teg

@@ -1,4 +1,4 @@
-#include "core/exhaustive.hpp"
+#include "oracle/exhaustive.hpp"
 
 #include <stdexcept>
 
@@ -6,7 +6,7 @@
 #include "power/mppt.hpp"
 #include "teg/string.hpp"
 
-namespace tegrec::core {
+namespace tegrec::oracle {
 
 ExhaustiveResult exhaustive_contiguous_search(const teg::TegArray& array,
                                               const power::Converter& converter) {
@@ -24,7 +24,7 @@ ExhaustiveResult exhaustive_contiguous_search(const teg::TegArray& array,
       if (mask & (std::size_t{1} << i)) starts.push_back(i + 1);
     }
     teg::ArrayConfig candidate(std::move(starts), n);
-    const double p = config_power_w(evaluator, converter, candidate);
+    const double p = core::config_power_w(evaluator, converter, candidate);
     ++best.evaluated;
     if (p > best.power_w) {
       best.power_w = p;
@@ -78,4 +78,4 @@ SetPartitionResult exhaustive_set_partition_search(
   return best;
 }
 
-}  // namespace tegrec::core
+}  // namespace tegrec::oracle

@@ -1,4 +1,4 @@
-// Exhaustive configuration search (validation oracles for small N).
+// Exhaustive configuration search (test oracles for small N).
 //
 // Two searches back the near-optimality claims:
 //  * exhaustive_contiguous_search — enumerates all 2^(N-1) contiguous
@@ -14,11 +14,16 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/algorithm_cost.hpp"
 #include "power/converter.hpp"
 #include "teg/array.hpp"
 #include "teg/config.hpp"
 
-namespace tegrec::core {
+namespace tegrec::oracle {
+
+/// Compute weight of a brute-force search on core::AlgorithmCost's scale
+/// (above EHTR's global DP).
+inline core::AlgorithmCost exhaustive_cost() { return {8.0}; }
 
 /// Result of an exhaustive search.
 struct ExhaustiveResult {
@@ -43,4 +48,4 @@ struct SetPartitionResult {
 SetPartitionResult exhaustive_set_partition_search(
     const teg::TegArray& array, const power::Converter& converter);
 
-}  // namespace tegrec::core
+}  // namespace tegrec::oracle

@@ -19,6 +19,7 @@
 #include "core/fixed_baseline.hpp"
 #include "core/inor.hpp"
 #include "core/prescient.hpp"
+#include "oracle/exhaustive.hpp"
 #include "sim/simulator.hpp"
 #include "switchfab/overhead.hpp"
 #include "thermal/trace.hpp"
@@ -47,7 +48,7 @@ TEST(AlgorithmCost, BudgetsAreStrictlyOrderedBySearchEffort) {
   const double prescient = core::AlgorithmCost::prescient().budget_s(p);
   const double inor = core::AlgorithmCost::inor().budget_s(p);
   const double ehtr = core::AlgorithmCost::ehtr().budget_s(p);
-  const double exhaustive = core::AlgorithmCost::exhaustive().budget_s(p);
+  const double exhaustive = oracle::exhaustive_cost().budget_s(p);
 
   EXPECT_DOUBLE_EQ(baseline, 0.0);  // never invokes, never pays
   EXPECT_GT(dnor, baseline);

@@ -7,10 +7,8 @@
 #include "core/dnor.hpp"
 #include "core/objective.hpp"
 #include "core/prescient.hpp"
-#include "predict/ensemble.hpp"
 #include "predict/evaluate.hpp"
 #include "predict/holt.hpp"
-#include "predict/mlr.hpp"
 #include "sim/simulator.hpp"
 #include "teg/string_bank.hpp"
 #include "thermal/trace.hpp"
@@ -50,21 +48,6 @@ TEST(EdgeCases, PrescientTruncatesLookaheadAtTraceEnd) {
     EXPECT_NO_THROW(oracle.update(0.5 * static_cast<double>(t),
                                   trace.step_delta_t(t), trace.ambient_c(t)));
   }
-}
-
-TEST(EdgeCases, DnorWithEnsemblePredictor) {
-  // Controller composition: DNOR driven by an MLR+Holt ensemble.
-  std::vector<std::unique_ptr<predict::Predictor>> members;
-  members.push_back(std::make_unique<predict::MlrPredictor>());
-  members.push_back(std::make_unique<predict::HoltPredictor>());
-  core::DnorParams params;
-  params.history_window = 12;
-  core::DnorReconfigurer dnor(
-      kDev, kConv, params,
-      std::make_unique<predict::EnsemblePredictor>(std::move(members)));
-  const auto trace = mini_trace();
-  const sim::SimulationResult res = sim::run_simulation(dnor, trace);
-  EXPECT_GT(res.energy_output_j, 0.0);
 }
 
 TEST(EdgeCases, SingleModulePerGroupBankRow) {

@@ -4,6 +4,7 @@
 
 #include "core/inor.hpp"
 #include "core/objective.hpp"
+#include "oracle/ehtr.hpp"
 #include "util/rng.hpp"
 
 namespace tegrec::core {
@@ -54,7 +55,7 @@ TEST(BalancedPartitions, MatchesBruteForceOnRandomInputs) {
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<double> impp(10);
     for (auto& x : impp) x = rng.uniform(0.2, 2.0);
-    const auto partitions = balanced_partitions(impp, 10);
+    const auto partitions = oracle::balanced_partitions(impp, 10);
     ASSERT_EQ(partitions.size(), 10u);
     for (std::size_t n = 1; n <= 10; ++n) {
       const teg::ArrayConfig& c = partitions[n - 1];
@@ -67,16 +68,16 @@ TEST(BalancedPartitions, MatchesBruteForceOnRandomInputs) {
 
 TEST(BalancedPartitions, SingleGroupAndAllSingletons) {
   const std::vector<double> impp{1.0, 2.0, 3.0};
-  const auto partitions = balanced_partitions(impp, 3);
+  const auto partitions = oracle::balanced_partitions(impp, 3);
   EXPECT_EQ(partitions[0], teg::ArrayConfig::all_parallel(3));
   EXPECT_EQ(partitions[2], teg::ArrayConfig::all_series(3));
 }
 
 TEST(BalancedPartitions, InvalidArgsThrow) {
-  EXPECT_THROW(balanced_partitions({}, 1), std::invalid_argument);
-  EXPECT_THROW(balanced_partitions({1.0}, 2), std::invalid_argument);
-  EXPECT_THROW(balanced_partitions({1.0}, 0), std::invalid_argument);
-  EXPECT_THROW(balanced_partitions({1.0, -0.5}, 1), std::invalid_argument);
+  EXPECT_THROW(oracle::balanced_partitions({}, 1), std::invalid_argument);
+  EXPECT_THROW(oracle::balanced_partitions({1.0}, 2), std::invalid_argument);
+  EXPECT_THROW(oracle::balanced_partitions({1.0}, 0), std::invalid_argument);
+  EXPECT_THROW(oracle::balanced_partitions({1.0, -0.5}, 1), std::invalid_argument);
 }
 
 TEST(EhtrSearch, AtLeastAsGoodAsInorPerInstant) {
@@ -137,7 +138,7 @@ TEST_P(DpVsGreedy, DpBalancesNoWorse) {
   util::Rng rng(100 + n);
   std::vector<double> impp(14);
   for (auto& x : impp) x = rng.uniform(0.3, 1.8);
-  const auto dp = balanced_partitions(impp, 14)[n - 1];
+  const auto dp = oracle::balanced_partitions(impp, 14)[n - 1];
   const auto greedy = inor_partition(impp, n);
   EXPECT_LE(config_cost(impp, dp), config_cost(impp, greedy) + 1e-9);
 }

@@ -1,6 +1,7 @@
 // Equivalence and determinism suite for the optimised EHTR hot path:
-//  * the divide-and-conquer partition DP must reproduce the legacy cubic
-//    oracle's partition costs bit-for-bit (same objective, same tie-break),
+//  * the divide-and-conquer partition DP must reproduce the cubic oracle's
+//    (oracle::cubic_partitions) partition costs bit-for-bit (same
+//    objective, same tie-break),
 //  * ArrayEvaluator's cached scoring must match the SeriesString path to
 //    1e-12 relative,
 //  * parallel candidate scoring must be bit-identical for every thread
@@ -15,6 +16,7 @@
 #include <limits>
 
 #include "core/objective.hpp"
+#include "oracle/ehtr.hpp"
 #include "sim/simulator.hpp"
 #include "teg/array_evaluator.hpp"
 #include "thermal/trace.hpp"
@@ -50,8 +52,8 @@ TEST(PartitionDpEquivalence, DcMatchesLegacyOracleAcrossSeeds) {
     const std::size_t n = sizes[trial];
     std::vector<double> impp(n);
     for (auto& x : impp) x = rng.uniform(0.05, 2.5);
-    const auto dc = balanced_partitions(impp, n, PartitionDp::kDivideAndConquer);
-    const auto legacy = balanced_partitions(impp, n, PartitionDp::kLegacyCubic);
+    const auto dc = oracle::balanced_partitions(impp, n);
+    const auto legacy = oracle::cubic_partitions(impp, n);
     ASSERT_EQ(dc.size(), n);
     ASSERT_EQ(legacy.size(), n);
     for (std::size_t g = 0; g < n; ++g) {
@@ -75,8 +77,8 @@ TEST(PartitionDpEquivalence, DcMatchesLegacyWithTiesAndZeros) {
     for (auto& x : impp) {
       x = rng.uniform(0.0, 1.0) < 0.35 ? 0.0 : rng.uniform(0.5, 1.5);
     }
-    const auto dc = balanced_partitions(impp, 64, PartitionDp::kDivideAndConquer);
-    const auto legacy = balanced_partitions(impp, 64, PartitionDp::kLegacyCubic);
+    const auto dc = oracle::balanced_partitions(impp, 64);
+    const auto legacy = oracle::cubic_partitions(impp, 64);
     for (std::size_t g = 0; g < 64; ++g) {
       EXPECT_EQ(partition_cost(impp, dc[g]), partition_cost(impp, legacy[g]))
           << "trial " << trial << " groups " << g + 1;
@@ -175,20 +177,22 @@ TEST(EhtrParallel, DcAndLegacySearchesAgree) {
     std::vector<double> dts(32);
     for (auto& dt : dts) dt = rng.uniform(4.0, 40.0);
     const teg::TegArray array(kDev, dts);
-    EXPECT_EQ(ehtr_search(array, conv, 1, PartitionDp::kDivideAndConquer),
-              ehtr_search(array, conv, 1, PartitionDp::kLegacyCubic))
+    EXPECT_EQ(ehtr_search(array, conv, 1),
+              oracle::cold_ehtr_search(array, conv, 0, oracle::Dp::kCubic))
         << "trial " << trial;
   }
 }
 
 TEST(PartitionDpEquivalence, RejectsNonFiniteCurrents) {
   // The bit-identical d&c/oracle contract only holds for finite inputs, so
-  // the DP refuses NaN/inf outright; ehtr_search sanitises before calling.
+  // both DPs refuse NaN/inf outright; ehtr_search sanitises before calling.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(balanced_partitions({1.0, nan, 1.0}, 2), std::invalid_argument);
-  EXPECT_THROW(
-      balanced_partitions({1.0, std::numeric_limits<double>::infinity()}, 2),
-      std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(PartitionTable({1.0, nan, 1.0}, 2), std::invalid_argument);
+  EXPECT_THROW(PartitionTable({1.0, inf}, 2), std::invalid_argument);
+  EXPECT_THROW(oracle::cubic_partitions({1.0, nan, 1.0}, 2),
+               std::invalid_argument);
+  EXPECT_THROW(oracle::cubic_partitions({1.0, inf}, 2), std::invalid_argument);
 }
 
 TEST(EhtrParallel, AllNanFieldReturnsFirstCandidate) {

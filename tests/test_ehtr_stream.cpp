@@ -1,6 +1,6 @@
 // Streaming-candidate suite for the EHTR hot path:
-//  * PartitionTable::reconstruct / config / for_each_candidate must
-//    reproduce the materialising balanced_partitions wrapper exactly,
+//  * PartitionTable::reconstruct / config must reproduce the cubic DP's
+//    materialised partitions (oracle::cubic_partitions) exactly,
 //  * the streaming ehtr_search must choose a config bit-identical to the
 //    materialise-then-argmax path across seeds, thread counts, and
 //    max_groups caps (and through the simulator),
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/objective.hpp"
+#include "oracle/ehtr.hpp"
 #include "sim/simulator.hpp"
 #include "teg/array_evaluator.hpp"
 #include "thermal/trace.hpp"
@@ -56,43 +57,19 @@ namespace {
 const teg::DeviceParams kDev = teg::tgm_199_1_4_0_8();
 const power::ConverterParams kConv;
 
-// The PR 2 shape the streaming path must stay bit-identical to:
-// materialise every candidate, score via the cached evaluator, take the
-// lowest-index argmax.
-teg::ArrayConfig materialised_argmax(const teg::TegArray& array,
-                                     const power::Converter& conv,
-                                     std::size_t max_groups,
-                                     PartitionDp dp = PartitionDp::kDivideAndConquer) {
-  std::vector<double> impp = array.module_mpp_currents();
-  for (double& x : impp) {
-    if (!std::isfinite(x)) x = 0.0;
-  }
-  const std::vector<teg::ArrayConfig> candidates =
-      balanced_partitions(impp, max_groups, dp);
-  const teg::ArrayEvaluator evaluator(array);
-  std::size_t best = 0;
-  double best_power = -1.0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const double p = config_power_w(evaluator, conv, candidates[i]);
-    if (p > best_power) {
-      best_power = p;
-      best = i;
-    }
-  }
-  return candidates[best];
-}
-
 TEST(PartitionTableSuite, MatchesBalancedPartitionsBothDps) {
   util::Rng rng(2024);
   for (const std::size_t n : {1ul, 2ul, 7ul, 33ul, 96ul}) {
     std::vector<double> impp(n);
     for (auto& x : impp) x = rng.uniform(0.05, 2.5);
-    for (const PartitionDp dp :
-         {PartitionDp::kDivideAndConquer, PartitionDp::kLegacyCubic}) {
-      const PartitionTable table(impp, n, dp);
-      EXPECT_EQ(table.num_modules(), n);
-      EXPECT_EQ(table.max_groups(), n);
-      const auto materialised = balanced_partitions(impp, n, dp);
+    const PartitionTable table(impp, n);
+    EXPECT_EQ(table.num_modules(), n);
+    EXPECT_EQ(table.max_groups(), n);
+    for (const oracle::Dp dp :
+         {oracle::Dp::kDivideAndConquer, oracle::Dp::kCubic}) {
+      const auto materialised = dp == oracle::Dp::kCubic
+                                    ? oracle::cubic_partitions(impp, n)
+                                    : oracle::balanced_partitions(impp, n);
       ASSERT_EQ(materialised.size(), n);
       std::vector<std::size_t> scratch;
       for (std::size_t g = 1; g <= n; ++g) {
@@ -118,17 +95,22 @@ TEST(PartitionTableSuite, CappedTablePrefixesTheFullOne) {
   }
 }
 
-TEST(PartitionTableSuite, ForEachCandidateStreamsInOrder) {
-  std::vector<double> impp{1.0, 2.0, 0.5, 1.5, 0.75};
-  const PartitionTable table(impp, 5);
-  std::size_t expected_n = 1;
-  table.for_each_candidate([&](std::size_t n, const std::vector<std::size_t>& starts) {
-    EXPECT_EQ(n, expected_n++);
-    ASSERT_EQ(starts.size(), n);
-    EXPECT_EQ(starts.front(), 0u);
-    EXPECT_EQ(teg::ArrayConfig(starts, 5), table.config(n));
-  });
-  EXPECT_EQ(expected_n, 6u);
+TEST(PartitionTableSuite, ExtendingMatchesOneShotSolve) {
+  // The warm search solves a prefix of layers and extends on demand; every
+  // layer must come out as a one-shot solve of all layers leaves it.
+  util::Rng rng(8);
+  std::vector<double> impp(40);
+  for (auto& x : impp) x = rng.uniform(0.1, 2.0);
+  const PartitionTable full(impp, 40);
+  PartitionTable lazy(impp, 40, 3);
+  EXPECT_EQ(lazy.solved_groups(), 3u);
+  lazy.extend_to(17);
+  EXPECT_EQ(lazy.solved_groups(), 17u);
+  lazy.extend_to(1000);  // clamps to max_groups
+  EXPECT_EQ(lazy.solved_groups(), 40u);
+  for (std::size_t g = 1; g <= 40; ++g) {
+    EXPECT_EQ(lazy.config(g), full.config(g)) << "g " << g;
+  }
 }
 
 TEST(PartitionTableSuite, ValidatesInputs) {
@@ -149,7 +131,8 @@ TEST(EvaluatorSpanSuite, SpanAndConfigOverloadsBitIdentical) {
   const teg::TegArray array(kDev, dts);
   const teg::ArrayEvaluator evaluator(array);
   const power::Converter conv(kConv);
-  const auto candidates = balanced_partitions(array.module_mpp_currents(), 30);
+  const auto candidates =
+      oracle::balanced_partitions(array.module_mpp_currents(), 30);
   for (const teg::ArrayConfig& c : candidates) {
     const teg::LinearSource via_config = evaluator.string_equivalent(c);
     const teg::LinearSource via_span =
@@ -178,7 +161,7 @@ TEST(EhtrStreaming, MatchesMaterialisedArgmaxAcrossSeedsAndThreads) {
     std::vector<double> dts(n);
     for (auto& dt : dts) dt = rng.uniform(4.0, 40.0);
     const teg::TegArray array(kDev, dts);
-    const teg::ArrayConfig reference = materialised_argmax(array, conv, n);
+    const teg::ArrayConfig reference = oracle::cold_ehtr_search(array, conv, n);
     for (const std::size_t threads : {1ul, 4ul, 0ul}) {
       EXPECT_EQ(ehtr_search(array, conv, threads), reference)
           << "trial " << trial << " threads " << threads;
@@ -193,20 +176,17 @@ TEST(EhtrStreaming, MaxGroupsCapMatchesCappedMaterialisedArgmax) {
   for (auto& dt : dts) dt = rng.uniform(4.0, 40.0);
   const teg::TegArray array(kDev, dts);
   for (const std::size_t cap : {1ul, 2ul, 5ul, 13ul, 37ul, 60ul}) {
-    const teg::ArrayConfig reference = materialised_argmax(array, conv, cap);
+    const teg::ArrayConfig reference = oracle::cold_ehtr_search(array, conv, cap);
     for (const std::size_t threads : {1ul, 4ul}) {
-      const teg::ArrayConfig chosen =
-          ehtr_search(array, conv, threads, PartitionDp::kDivideAndConquer, cap);
+      const teg::ArrayConfig chosen = ehtr_search(array, conv, threads, cap);
       EXPECT_EQ(chosen, reference) << "cap " << cap << " threads " << threads;
       EXPECT_LE(chosen.num_groups(), cap);
     }
   }
   // 0 and out-of-range caps clamp to N rather than throwing: operator
   // convenience for "no cap" configs.
-  EXPECT_EQ(ehtr_search(array, conv, 1, PartitionDp::kDivideAndConquer, 0),
-            ehtr_search(array, conv, 1, PartitionDp::kDivideAndConquer, 60));
-  EXPECT_EQ(ehtr_search(array, conv, 1, PartitionDp::kDivideAndConquer, 1000),
-            ehtr_search(array, conv, 1, PartitionDp::kDivideAndConquer, 60));
+  EXPECT_EQ(ehtr_search(array, conv, 1, 0), ehtr_search(array, conv, 1, 60));
+  EXPECT_EQ(ehtr_search(array, conv, 1, 1000), ehtr_search(array, conv, 1, 60));
 }
 
 TEST(EhtrStreaming, LegacyDpStreamsIdentically) {
@@ -215,8 +195,8 @@ TEST(EhtrStreaming, LegacyDpStreamsIdentically) {
   std::vector<double> dts(32);
   for (auto& dt : dts) dt = rng.uniform(4.0, 40.0);
   const teg::TegArray array(kDev, dts);
-  EXPECT_EQ(ehtr_search(array, conv, 1, PartitionDp::kLegacyCubic),
-            materialised_argmax(array, conv, 32, PartitionDp::kLegacyCubic));
+  EXPECT_EQ(ehtr_search(array, conv, 1),
+            oracle::cold_ehtr_search(array, conv, 32, oracle::Dp::kCubic));
 }
 
 // End-to-end: a capped, multi-threaded EHTR simulation must be
@@ -278,13 +258,15 @@ TEST(EhtrStreaming, CandidateSweepAllocatesLinearNotQuadraticBytes) {
       g_allocated_bytes.load(std::memory_order_relaxed);
   std::size_t best_n = 1;
   double best_power = -1.0;
-  table.for_each_candidate([&](std::size_t n, const std::vector<std::size_t>& starts) {
+  std::vector<std::size_t> starts;
+  for (std::size_t n = 1; n <= kN; ++n) {
+    table.reconstruct(n, starts);
     const double p = config_power_w(evaluator, conv, starts);
     if (p > best_power) {
       best_power = p;
       best_n = n;
     }
-  });
+  }
   const teg::ArrayConfig chosen = table.config(best_n);
   const std::size_t stream_bytes =
       g_allocated_bytes.load(std::memory_order_relaxed) - before_stream;

@@ -1,12 +1,13 @@
-// Differential harness for the warm-started actuation path (ISSUE 10).
+// Differential harness for the warm-started actuation path.
 //
 // The warm-start machinery in ehtr_search is an equivalence theorem, not a
-// behaviour: for every input and every warm setting the chosen config and
-// its charger-aware score must be *bit-identical* to the cold full sweep.
-// Likewise the SIMD scoring kernel in ArrayEvaluator must return port
-// models bit-identical to the scalar oracle.  Every comparison here is
-// EXPECT_EQ on exact doubles — no tolerances, by design: the moment either
-// path diverges in the last ulp the caching/fingerprint story breaks.
+// behaviour: for every input and every warm seed the chosen config and
+// its charger-aware score must be *bit-identical* to the cold full sweep
+// (oracle::cold_ehtr_search, over either partition DP).  Likewise the
+// SIMD block kernel behind ArrayEvaluator must return port models
+// bit-identical to the scalar one.  Every comparison here is EXPECT_EQ on
+// exact doubles — no tolerances, by design: the moment either path
+// diverges in the last ulp the caching/fingerprint story breaks.
 #include "core/ehtr.hpp"
 
 #include <cmath>
@@ -17,6 +18,9 @@
 #include <vector>
 
 #include "core/objective.hpp"
+#include "oracle/ehtr.hpp"
+#include "oracle/kernels.hpp"
+#include "power/mppt.hpp"
 #include "teg/array_evaluator.hpp"
 #include "util/rng.hpp"
 
@@ -49,16 +53,13 @@ TEST(EhtrWarm, BitIdenticalToColdAcrossSeedsAndDriftingFields) {
     std::size_t incumbent = 0;  // first step: no held config, window seed
     for (int step = 0; step < 5; ++step) {
       const teg::TegArray array(kDev, drifting_field(rng, n, step));
-      const teg::ArrayConfig cold = ehtr_search(array, conv);
+      const teg::ArrayConfig cold = oracle::cold_ehtr_search(array, conv);
 
       EhtrWarmStart warm;
-      warm.enabled = true;
       warm.incumbent_groups = incumbent;
       warm.width = 8;
       EhtrSearchStats stats;
-      const teg::ArrayConfig hot =
-          ehtr_search(array, conv, 1, PartitionDp::kDivideAndConquer, 0, warm,
-                      &stats);
+      const teg::ArrayConfig hot = ehtr_search(array, conv, 1, 0, warm, &stats);
 
       ASSERT_EQ(hot, cold) << "seed " << seed << " step " << step;
       EXPECT_EQ(config_power_w(array, conv, hot),
@@ -74,24 +75,24 @@ TEST(EhtrWarm, BitIdenticalToColdAcrossSeedsAndDriftingFields) {
 TEST(EhtrWarm, BitIdenticalAcrossThreadsDpKindsAndCaps) {
   const std::size_t n = 48;
   const power::Converter conv(kConv);
-  const PartitionDp kinds[] = {PartitionDp::kDivideAndConquer,
-                               PartitionDp::kLegacyCubic};
+  const oracle::Dp kinds[] = {oracle::Dp::kDivideAndConquer,
+                              oracle::Dp::kCubic};
   const std::size_t caps[] = {0, 7, 24};       // 0 = full sweep
   const std::size_t threads[] = {1, 4, 0};     // 0 = hardware concurrency
   util::Rng rng(1234);
   for (unsigned trial = 0; trial < 5; ++trial) {
     const teg::TegArray array(kDev, drifting_field(rng, n, int(trial)));
-    for (const PartitionDp dp : kinds) {
+    for (const oracle::Dp dp : kinds) {
       for (const std::size_t cap : caps) {
-        // Cold reference: single-threaded full solve of this (dp, cap).
-        const teg::ArrayConfig cold = ehtr_search(array, conv, 1, dp, cap);
+        // Cold reference: full solve of this (dp, cap).
+        const teg::ArrayConfig cold =
+            oracle::cold_ehtr_search(array, conv, cap, dp);
         const double cold_power = config_power_w(array, conv, cold);
         for (const std::size_t nt : threads) {
           EhtrWarmStart warm;
-          warm.enabled = true;
           warm.incumbent_groups = (trial % 2) ? cold.num_groups() : 0;
           warm.width = 4;  // small: forces the certified extension loop
-          const teg::ArrayConfig hot = ehtr_search(array, conv, nt, dp, cap, warm);
+          const teg::ArrayConfig hot = ehtr_search(array, conv, nt, cap, warm);
           ASSERT_EQ(hot, cold)
               << "dp=" << int(dp) << " cap=" << cap << " threads=" << nt;
           EXPECT_EQ(config_power_w(array, conv, hot), cold_power);
@@ -109,7 +110,7 @@ TEST(EhtrWarm, ExtremeWarmSettingsStillMatchCold) {
   const power::Converter conv(kConv);
   util::Rng rng(77);
   const teg::TegArray array(kDev, drifting_field(rng, n, 0));
-  const teg::ArrayConfig cold = ehtr_search(array, conv);
+  const teg::ArrayConfig cold = oracle::cold_ehtr_search(array, conv);
   const double cold_power = config_power_w(array, conv, cold);
 
   struct Case {
@@ -120,13 +121,10 @@ TEST(EhtrWarm, ExtremeWarmSettingsStillMatchCold) {
                         {n, 1},  {n + 1000, 3},          {0, 100000}};
   for (const Case& c : cases) {
     EhtrWarmStart warm;
-    warm.enabled = true;
     warm.incumbent_groups = c.incumbent;
     warm.width = c.width;
     EhtrSearchStats stats;
-    const teg::ArrayConfig hot =
-        ehtr_search(array, conv, 1, PartitionDp::kDivideAndConquer, 0, warm,
-                    &stats);
+    const teg::ArrayConfig hot = ehtr_search(array, conv, 1, 0, warm, &stats);
     ASSERT_EQ(hot, cold) << "incumbent=" << c.incumbent << " width=" << c.width;
     EXPECT_EQ(config_power_w(array, conv, hot), cold_power);
     EXPECT_TRUE(stats.warm_used);
@@ -148,25 +146,22 @@ TEST(EhtrWarm, PruningActuallyEngagesOnLargeArrays) {
   const power::Converter conv(kConv);
 
   EhtrWarmStart warm;
-  warm.enabled = true;
   warm.incumbent_groups = 0;  // seed from the converter window
   warm.width = 64;
   EhtrSearchStats stats;
-  const teg::ArrayConfig hot =
-      ehtr_search(array, conv, 0, PartitionDp::kDivideAndConquer, 0, warm,
-                  &stats);
+  const teg::ArrayConfig hot = ehtr_search(array, conv, 0, 0, warm, &stats);
   EXPECT_TRUE(stats.warm_used);
   EXPECT_EQ(stats.max_groups, n);
   EXPECT_LT(stats.groups_certified, n)
       << "bound never pruned anything — warm start degenerated to cold";
   // And the certified result still matches the cold sweep exactly.
-  const teg::ArrayConfig cold = ehtr_search(array, conv, 0);
+  const teg::ArrayConfig cold = oracle::cold_ehtr_search(array, conv);
   ASSERT_EQ(hot, cold);
   EXPECT_EQ(config_power_w(array, conv, hot), config_power_w(array, conv, cold));
 }
 
 TEST(EhtrWarm, DegenerateFieldsDisableWarmButStayIdentical) {
-  // Non-finite module states must force the cold path (warm_used = false)
+  // Non-finite module states must force the full sweep (warm_used = false)
   // and still return exactly what cold search returns.
   const std::size_t n = 24;
   // (Infinity is rejected by Module's validity range at construction; NaN
@@ -177,45 +172,49 @@ TEST(EhtrWarm, DegenerateFieldsDisableWarmButStayIdentical) {
   const teg::TegArray array(kDev, dts);
   const power::Converter conv(kConv);
 
-  const teg::ArrayConfig cold = ehtr_search(array, conv);
+  const teg::ArrayConfig cold = oracle::cold_ehtr_search(array, conv);
   EhtrWarmStart warm;
-  warm.enabled = true;
   warm.incumbent_groups = 4;
   warm.width = 2;
   EhtrSearchStats stats;
-  const teg::ArrayConfig hot =
-      ehtr_search(array, conv, 1, PartitionDp::kDivideAndConquer, 0, warm,
-                  &stats);
+  const teg::ArrayConfig hot = ehtr_search(array, conv, 1, 0, warm, &stats);
   ASSERT_EQ(hot, cold);
   EXPECT_FALSE(stats.warm_used);
   EXPECT_EQ(stats.groups_certified, stats.max_groups);
 }
 
 TEST(EhtrWarm, ControllerDecisionStreamIsBitIdentical) {
-  // End-to-end: a warm EhtrReconfigurer must emit the exact decision stream
-  // (configs, invocation flags, energies) of a cold one, with the incumbent
-  // threading through consecutive actuations as the temperature drifts.
-  const std::size_t n = 64;
+  // End-to-end: the EhtrReconfigurer must actuate the cold sweep's choice on
+  // every invocation, with the incumbent threading through consecutive
+  // actuations as the temperature drifts.  At N = 512 the converter window
+  // plus the production width stays below N, so the incumbent-seeded
+  // search certifies a tail away: replaying the controller's seed must
+  // solve fewer than N group counts on every step, or the controller ran
+  // the full sweep and this compares cold with cold.
+  const std::size_t n = 512;
   const power::Converter conv(kConv);
-  EhtrReconfigurer cold(kDev, kConv, 0.5, 1, 0, /*warm_start=*/false);
-  EhtrReconfigurer hot(kDev, kConv, 0.5, 1, 0, /*warm_start=*/true,
-                       /*warm_width=*/8);
-  EXPECT_EQ(hot.algorithm_cost().budget_multiplier,
-            cold.algorithm_cost().budget_multiplier);
+  EhtrReconfigurer ehtr(kDev, kConv, 0.5, 1, 0);
 
   util::Rng rng(11);
+  teg::ArrayConfig held;
   for (int step = 0; step < 10; ++step) {
     const std::vector<double> dts = drifting_field(rng, n, step);
-    const double t = 0.5 * step;
-    const UpdateResult rc = cold.update(t, dts, 25.0);
-    const UpdateResult rh = hot.update(t, dts, 25.0);
-    ASSERT_EQ(rh.config, rc.config) << "step " << step;
-    EXPECT_EQ(rh.invoked, rc.invoked);
-    EXPECT_EQ(rh.switched, rc.switched);
-    EXPECT_EQ(rh.actuate, rc.actuate);
-    const teg::TegArray array(kDev, dts);
-    EXPECT_EQ(config_power_w(array, conv, rh.config),
-              config_power_w(array, conv, rc.config));
+    const teg::TegArray array(kDev, dts, 25.0);
+    EhtrSearchStats stats;
+    const teg::ArrayConfig replay = ehtr_search(
+        array, conv, 1, 0, EhtrWarmStart{held.num_groups(), 64}, &stats);
+    const UpdateResult r = ehtr.update(0.5 * step, dts, 25.0);
+    const teg::ArrayConfig cold = oracle::cold_ehtr_search(array, conv);
+    ASSERT_EQ(r.config, cold) << "step " << step;
+    ASSERT_EQ(replay, cold) << "step " << step;
+    EXPECT_EQ(config_power_w(array, conv, r.config),
+              config_power_w(array, conv, cold));
+    EXPECT_TRUE(r.invoked);
+    EXPECT_TRUE(r.actuate);
+    EXPECT_EQ(r.switched, step == 0 || r.config != held);
+    EXPECT_TRUE(stats.warm_used);
+    EXPECT_LT(stats.groups_certified, n) << "step " << step;
+    held = r.config;
   }
 }
 
@@ -241,7 +240,7 @@ TEST(ArrayEvaluatorKernels, SimdMatchesScalarBitwise) {
     std::vector<double> dts(n);
     for (std::size_t i = 0; i < n; ++i) dts[i] = rng.uniform(2.0, 45.0);
     const teg::TegArray array(kDev, dts);
-    teg::ArrayEvaluator ev(array);
+    const teg::ArrayEvaluator ev(array);
 
     std::vector<std::vector<std::size_t>> cases;
     cases.push_back({0});  // one big parallel group
@@ -253,12 +252,11 @@ TEST(ArrayEvaluatorKernels, SimdMatchesScalarBitwise) {
     }
 
     for (const std::vector<std::size_t>& starts : cases) {
-      ev.set_kernel(teg::ScoringKernel::kScalar);
-      const teg::LinearSource a = ev.string_equivalent(starts);
-      ev.set_kernel(teg::ScoringKernel::kSimd);
-      const teg::LinearSource b = ev.string_equivalent(starts);
-      ev.set_kernel(teg::ScoringKernel::kAuto);
-      const teg::LinearSource c = ev.string_equivalent(starts);
+      const teg::LinearSource a =
+          oracle::string_equivalent(array, starts, oracle::Kernel::kScalar);
+      const teg::LinearSource b =
+          oracle::string_equivalent(array, starts, oracle::Kernel::kSimd);
+      const teg::LinearSource c = ev.string_equivalent(starts);  // dispatched
       EXPECT_EQ(a.voc_v, b.voc_v) << "n=" << n << " groups=" << starts.size();
       EXPECT_EQ(a.r_ohm, b.r_ohm) << "n=" << n << " groups=" << starts.size();
       EXPECT_EQ(a.voc_v, c.voc_v);
@@ -267,39 +265,44 @@ TEST(ArrayEvaluatorKernels, SimdMatchesScalarBitwise) {
   }
 }
 
-TEST(ArrayEvaluatorKernels, KernelSelectionContract) {
+TEST(ArrayEvaluatorKernels, OracleKernelContract) {
+  // The scalar kernel runs on every host and matches the dispatched path;
+  // the SIMD kernel runs only where the host supports it.
   std::vector<double> dts(16, 20.0);
   const teg::TegArray array(kDev, dts);
-  teg::ArrayEvaluator ev(array);
-  EXPECT_EQ(ev.kernel(), teg::ScoringKernel::kAuto);
-  ev.set_kernel(teg::ScoringKernel::kScalar);
-  EXPECT_EQ(ev.kernel(), teg::ScoringKernel::kScalar);
+  const teg::ArrayEvaluator ev(array);
+  const std::vector<std::size_t> starts{0, 3, 9};
+  const teg::LinearSource scalar =
+      oracle::string_equivalent(array, starts, oracle::Kernel::kScalar);
+  EXPECT_EQ(scalar.voc_v, ev.string_equivalent(starts).voc_v);
+  EXPECT_EQ(scalar.r_ohm, ev.string_equivalent(starts).r_ohm);
   if (teg::ArrayEvaluator::simd_available()) {
-    EXPECT_NO_THROW(ev.set_kernel(teg::ScoringKernel::kSimd));
-    EXPECT_EQ(ev.kernel(), teg::ScoringKernel::kSimd);
+    EXPECT_NO_THROW(
+        oracle::string_equivalent(array, starts, oracle::Kernel::kSimd));
   } else {
-    EXPECT_THROW(ev.set_kernel(teg::ScoringKernel::kSimd),
-                 std::invalid_argument);
-    EXPECT_EQ(ev.kernel(), teg::ScoringKernel::kScalar);  // unchanged
+    EXPECT_THROW(
+        oracle::string_equivalent(array, starts, oracle::Kernel::kSimd),
+        std::invalid_argument);
   }
-  EXPECT_NO_THROW(ev.set_kernel(teg::ScoringKernel::kAuto));
 }
 
 TEST(ArrayEvaluatorKernels, KernelChoiceDoesNotMoveEhtrDecisions) {
   // Belt and braces on top of bitwise port-model identity: the full search
-  // built over the evaluator lands on the same config under every kernel
-  // (ehtr_search constructs its own evaluator with kAuto, so this pins the
-  // dispatch default against the scalar oracle via config scoring).
+  // built over the evaluator lands on the same score under every kernel
+  // (ehtr_search scores through the dispatched kernel, so this pins the
+  // dispatch against the scalar kernel via config scoring).
   const std::size_t n = 96;
   util::Rng rng(9);
   const teg::TegArray array(kDev, drifting_field(rng, n, 0));
   const power::Converter conv(kConv);
   const teg::ArrayConfig chosen = ehtr_search(array, conv);
-  teg::ArrayEvaluator ev(array);
-  ev.set_kernel(teg::ScoringKernel::kScalar);
-  const double scalar_power = config_power_w(ev, conv, chosen);
-  teg::ArrayEvaluator ev2(array);  // kAuto
-  EXPECT_EQ(config_power_w(ev2, conv, chosen), scalar_power);
+  const teg::LinearSource port = oracle::string_equivalent(
+      array, chosen.group_starts(), oracle::Kernel::kScalar);
+  const double scalar_power =
+      power::optimal_operating_point(port.voc_v, port.r_ohm, conv)
+          .output_power_w;
+  const teg::ArrayEvaluator ev(array);  // dispatched kernel
+  EXPECT_EQ(config_power_w(ev, conv, chosen), scalar_power);
 }
 
 }  // namespace

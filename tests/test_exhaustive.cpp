@@ -1,10 +1,12 @@
-#include "core/exhaustive.hpp"
+#include "oracle/exhaustive.hpp"
 
 #include <gtest/gtest.h>
 
+#include "core/ehtr.hpp"
 #include "core/objective.hpp"
+#include "util/rng.hpp"
 
-namespace tegrec::core {
+namespace tegrec::oracle {
 namespace {
 
 const teg::DeviceParams kDev = teg::tgm_199_1_4_0_8();
@@ -30,7 +32,7 @@ TEST(ExhaustiveContiguous, FindsTrueOptimum) {
       if (mask & (std::size_t{1} << i)) starts.push_back(i + 1);
     }
     best = std::max(best,
-                    config_power_w(array, conv, teg::ArrayConfig(starts, 5)));
+                    core::config_power_w(array, conv, teg::ArrayConfig(starts, 5)));
   }
   EXPECT_NEAR(res.power_w, best, 1e-12);
 }
@@ -46,6 +48,28 @@ TEST(ExhaustiveContiguous, TooLargeThrows) {
   const teg::TegArray array(kDev, std::vector<double>(25, 20.0));
   const power::Converter conv(kConv);
   EXPECT_THROW(exhaustive_contiguous_search(array, conv), std::invalid_argument);
+}
+
+TEST(ExhaustiveContiguous, BoundsEhtrFromAbove) {
+  // EHTR picks one balanced partition per group count, a subset of the
+  // contiguous space, so the exhaustive optimum bounds its score exactly
+  // (both score through the same cached evaluator).  Several threads put
+  // EHTR's parallel scorer under the thread sanitizer too.
+  util::Rng rng(23);
+  const power::Converter conv(kConv);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<double> dts(12);
+    for (auto& dt : dts) dt = rng.uniform(5.0, 40.0);
+    const teg::TegArray array(kDev, dts);
+    const teg::ArrayEvaluator evaluator(array);
+    const ExhaustiveResult opt = exhaustive_contiguous_search(array, conv);
+    for (const std::size_t threads : {1ul, 4ul}) {
+      const double p = core::config_power_w(
+          evaluator, conv, core::ehtr_search(array, conv, threads));
+      EXPECT_LE(p, opt.power_w) << "trial " << trial;
+      EXPECT_GE(p, 0.9 * opt.power_w) << "trial " << trial;
+    }
+  }
 }
 
 TEST(ExhaustiveSetPartition, BeatsOrMatchesContiguous) {
@@ -87,4 +111,4 @@ TEST(ExhaustiveSetPartition, TooLargeThrows) {
 }
 
 }  // namespace
-}  // namespace tegrec::core
+}  // namespace tegrec::oracle

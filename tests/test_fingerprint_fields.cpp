@@ -131,10 +131,6 @@ TEST(FingerprintFields, ComparisonSpecFields) {
        [](ExperimentSpec& s) { s.comparison.sim.charge_overhead = false; }},
       {"sim.ehtr_max_groups",
        [](ExperimentSpec& s) { s.comparison.sim.ehtr_max_groups = 12; }},
-      {"sim.ehtr_warm_start",
-       [](ExperimentSpec& s) { s.comparison.sim.ehtr_warm_start = true; }},
-      {"sim.ehtr_warm_width",
-       [](ExperimentSpec& s) { s.comparison.sim.ehtr_warm_width = 32; }},
       {"sim.device.num_couples",
        [](ExperimentSpec& s) { s.comparison.sim.device.num_couples += 1; }},
       {"sim.device.seebeck_v_k_couple",

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/exhaustive.hpp"
 #include "core/objective.hpp"
+#include "oracle/exhaustive.hpp"
 #include "util/rng.hpp"
 
 namespace tegrec::core {
@@ -103,7 +103,8 @@ TEST(InorSearch, NearOptimalVsExhaustiveContiguous) {
     std::vector<double> dts(12);
     for (auto& dt : dts) dt = rng.uniform(5.0, 40.0);
     const teg::TegArray array(kDev, dts);
-    const ExhaustiveResult opt = exhaustive_contiguous_search(array, conv);
+    const oracle::ExhaustiveResult opt =
+        oracle::exhaustive_contiguous_search(array, conv);
     const teg::ArrayConfig c =
         inor_search(array, conv, InorOptions{.nmin = 1, .nmax = 12});
     const double p = config_power_w(array, conv, c);
@@ -116,7 +117,8 @@ TEST(InorSearch, NearOptimalOnMonotoneProfile) {
   // boundaries are essentially optimal.
   const power::Converter conv(kConv);
   const teg::TegArray array(kDev, decaying_delta_t(12, 38.0, 6.0));
-  const ExhaustiveResult opt = exhaustive_contiguous_search(array, conv);
+  const oracle::ExhaustiveResult opt =
+      oracle::exhaustive_contiguous_search(array, conv);
   const teg::ArrayConfig c =
       inor_search(array, conv, InorOptions{.nmin = 1, .nmax = 12});
   EXPECT_GE(config_power_w(array, conv, c), 0.985 * opt.power_w);

@@ -169,15 +169,17 @@ TEST(Telemetry, MalformedLinesThrowNamingTheLine) {
   expect_throw_on(kHeader + row(0, 25, 30, 31) + row(0.5, 25, 32, 33) +
                   row(0.76, 25, 34, 35));                     // off-grid
   // An explicit dt snaps any stamp to its nearest grid point, but a stamp
-  // before the pinned epoch has no grid point to snap to.
+  // before the pinned epoch has no grid point to snap to, and neither has
+  // one whose grid index is past 2^53 (not exactly representable).
   TelemetryOptions pinned;
   pinned.dt_s = 0.5;
   pinned.num_modules = 2;
   pinned.epoch_s = 0.0;
-  auto [feed, source] =
-      make_source(kHeader + row(-0.5, 25, 30, 31), pinned);  // pre-epoch
-  feed->close();
-  EXPECT_THROW(source->poll(), std::runtime_error);
+  for (const double t : {-0.5 /* pre-epoch */, 1e300 /* index ~2e300 */}) {
+    auto [feed, source] = make_source(kHeader + row(t, 25, 30, 31), pinned);
+    feed->close();
+    EXPECT_THROW(source->poll(), std::runtime_error) << t;
+  }
 }
 
 // The resume contract: with an epoch pinned and a start index, replayed

@@ -1091,14 +1091,16 @@ std::vector<StructSpec> default_struct_specs() {
       // Streaming checkpoint state: serialised by sim/checkpoint.cpp, not
       // the spec bindings.  A StepperState/StreamConfig field missing from
       // the codec silently resumes a different simulation; a
-      // SimulationResult/StepRecord field missing loses history across a
-      // checkpoint/restore cycle.  tests/test_checkpoint.cpp is the
-      // runtime twin (round-trip equality field by field).
+      // SimulationResult/StepRecord field missing from the run-table codec
+      // (sim/result_io.cpp, shared by checkpoints and result artifacts)
+      // loses history across a checkpoint/restore cycle.
+      // tests/test_checkpoint.cpp is the runtime twin (round-trip equality
+      // field by field).
       {"src/sim/stepper.hpp", "StepperState", {}, "src/sim/checkpoint.cpp"},
       {"src/sim/checkpoint.hpp", "StreamConfig", {}, "src/sim/checkpoint.cpp"},
       {"src/sim/simulator.hpp", "SimulationResult", {},
-       "src/sim/checkpoint.cpp"},
-      {"src/sim/simulator.hpp", "StepRecord", {}, "src/sim/checkpoint.cpp"},
+       "src/sim/result_io.cpp"},
+      {"src/sim/simulator.hpp", "StepRecord", {}, "src/sim/result_io.cpp"},
   };
 }
 
