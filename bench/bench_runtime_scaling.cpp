@@ -3,7 +3,7 @@
 //
 // The paper attributes O(N^3) to EHTR (Sections I/V); this harness times
 // the legacy cubic path (full-scan DP + per-candidate SeriesString
-// scoring), the materialising path (divide-and-conquer DP + a full
+// scoring), the materialising path (Knuth-Yao DP + a full
 // std::vector<ArrayConfig> of candidates scored via ArrayEvaluator — the
 // O(N^2)-memory shape the streaming refactor replaced), and the production
 // core::ehtr_search (candidates reconstructed out of a PartitionTable and
@@ -144,7 +144,7 @@ teg::ArrayConfig legacy_ehtr_search(const teg::TegArray& array,
 struct Row {
   std::size_t n = 0;
   double inor_s = 0.0;
-  double dc_dp_s = 0.0;
+  double dp_s = 0.0;
   double new_search_s = 0.0;
   double new_peak_rss_mb = std::nan("");
   double mat_search_s = 0.0;
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
     const std::vector<double> impp = array.module_mpp_currents();
 
     row.inor_s = time_s([&] { core::inor_search(array, conv); });
-    row.dc_dp_s = time_s([&] { core::PartitionTable table(impp, n); });
+    row.dp_s = time_s([&] { core::PartitionTable table(impp, n); });
     // Streaming first, materialising second: small freed allocations can
     // linger in the heap arena, so the order keeps each measurement's
     // baseline as clean as the allocator allows.
@@ -292,14 +292,14 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n");
-  util::TextTable table({"N", "INOR (s)", "DP d&c (s)", "EHTR stream (s)",
+  util::TextTable table({"N", "INOR (s)", "DP (s)", "EHTR stream (s)",
                          "stream RSS (MB)", "EHTR mat. (s)", "mat. RSS (MB)",
                          "DP legacy (s)", "EHTR legacy (s)", "speedup"});
   for (const Row& r : rows) {
     table.begin_row()
         .add(static_cast<double>(r.n), 0)
         .add(r.inor_s, 5)
-        .add(r.dc_dp_s, 5)
+        .add(r.dp_s, 5)
         .add(r.new_search_s, 5)
         .add(r.new_peak_rss_mb, 1)
         .add(r.mat_search_s, 5)
@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
   // the empty cells (trailing ones included) back as NaN.
   if (std::FILE* csv = std::fopen(csv_path.c_str(), "w")) {
     std::fprintf(csv,
-                 "n,inor_s,dc_dp_s,new_search_s,new_peak_rss_mb,mat_search_s,"
+                 "n,inor_s,dp_s,new_search_s,new_peak_rss_mb,mat_search_s,"
                  "mat_peak_rss_mb,legacy_dp_s,legacy_search_s,speedup,"
                  "cold_step_s,warm_step_s,warm_speedup,warm_certified,"
                  "warm_identical,apply_flip_us,apply_rebuild_us\n");
@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
       std::fprintf(csv,
                    "%zu,%.9f,%.9f,%.9f,%s,%.9f,%s,%s,%s,%s,%.9f,%.9f,%.9f,"
                    "%zu,%d,%.9f,%.9f\n",
-                   r.n, r.inor_s, r.dc_dp_s, r.new_search_s,
+                   r.n, r.inor_s, r.dp_s, r.new_search_s,
                    cell(r.new_peak_rss_mb, "%.3f").c_str(), r.mat_search_s,
                    cell(r.mat_peak_rss_mb, "%.3f").c_str(),
                    cell(r.legacy_dp_s, "%.9f").c_str(),
@@ -360,7 +360,7 @@ int main(int argc, char** argv) {
         return std::isnan(v) ? std::string("null") : std::to_string(v);
       };
       std::fprintf(json,
-                   "  {\"n\": %zu, \"inor_s\": %.9f, \"dc_dp_s\": %.9f, "
+                   "  {\"n\": %zu, \"inor_s\": %.9f, \"dp_s\": %.9f, "
                    "\"new_search_s\": %.9f, \"new_peak_rss_mb\": %s, "
                    "\"mat_search_s\": %.9f, \"mat_peak_rss_mb\": %s, "
                    "\"legacy_dp_s\": %s, \"legacy_search_s\": %s, "
@@ -368,7 +368,7 @@ int main(int argc, char** argv) {
                    "\"warm_step_s\": %.9f, \"warm_speedup\": %.9f, "
                    "\"warm_certified\": %zu, \"warm_identical\": %s, "
                    "\"apply_flip_us\": %.9f, \"apply_rebuild_us\": %.9f}%s\n",
-                   r.n, r.inor_s, r.dc_dp_s, r.new_search_s,
+                   r.n, r.inor_s, r.dp_s, r.new_search_s,
                    num(r.new_peak_rss_mb).c_str(), r.mat_search_s,
                    num(r.mat_peak_rss_mb).c_str(), num(r.legacy_dp_s).c_str(),
                    num(r.legacy_search_s).c_str(), num(r.speedup()).c_str(),

@@ -21,47 +21,80 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Fills dp_cur / parent_cur for columns [lo, hi] of one DP layer, knowing
-// the argmin of every column lies in [klo, khi]:
+// Solves DP layer j (j + 1 groups) in place, columns right to left:
 //
-//   dp_cur[i] = min_{k in [klo, min(khi, i - 1)]} dp_prev[k]
-//               + (prefix[i] - prefix[k])^2
+//   dp[i] <- min_{k in [j, i - 1]} dp[k] + (prefix[i] - prefix[k])^2
 //
-// The squared-segment-sum cost is Monge (quadrangle inequality) for
-// non-negative currents, so the lowest argmin is monotone non-decreasing in
-// i and the classic divide-and-conquer optimisation applies: solve the
-// middle column by scanning its window, then recurse left/right with the
-// window split at the found argmin.  Each recursion level scans O(hi - lo +
-// khi - klo) candidates and the depth is O(log N), giving O(N log N) per
-// layer.  The initial call passes klo = j (the layer's smallest legal k)
-// and recursion only ever raises it, so klo stays legal throughout.  Ties
-// resolve to the lowest k — the same first-strict-improvement rule as the
-// cubic test oracle, which keeps the two DPs' costs bit-identical whenever
-// the rounded costs stay Monge (inputs are validated finite; same-scale
-// physical MPP currents keep rounding far below the Monge gap).
-void solve_layer(const std::vector<double>& prefix,
-                 const std::vector<double>& dp_prev, std::size_t lo,
-                 std::size_t hi, std::size_t klo, std::size_t khi,
-                 std::vector<double>& dp_cur, std::uint32_t* parent_cur) {
-  const std::size_t mid = lo + (hi - lo) / 2;
-  const std::size_t k_end = std::min(khi, mid - 1);  // inclusive; mid >= 2
-  double best = kInf;
-  std::size_t best_k = klo;
-  for (std::size_t k = klo; k <= k_end; ++k) {
-    const double s = prefix[mid] - prefix[k];
-    const double c = dp_prev[k] + s * s;
-    if (c < best) {
-      best = c;
-      best_k = k;
+// Column i reads dp[k] only for k < i, so overwriting dp[i] once column i
+// is done leaves every value a later (smaller) column needs untouched.
+//
+// The answer per column is the cubic oracle's: the lowest k attaining the
+// minimum *rounded* cost.  The squared-segment-sum cost satisfies the
+// quadrangle inequality for non-negative currents, so in exact arithmetic
+// the lowest argmin is split-monotone (Knuth 1971; Yao 1980):
+// opt[j-1][i] <= opt[j][i] <= opt[j][i+1].  Each column therefore scans only
+// [lo, hi], with lo from the previous layer at column i and hi from column
+// i + 1 of this layer.  The windows telescope: a layer costs
+// O(N + sum_i (opt[j][i] - opt[j-1][i])), and the sum over layers is
+// O(N * (N + layers)), against O(N^3) for the cubic oracle.
+//
+// Rounding can break ties differently from exact arithmetic: with
+// all-equal currents, the rounded lowest argmin of a layer can sit one
+// column left of the previous layer's.  So the bounds are the outermost
+// *near*-argmins instead: lo is the lowest k whose rounded cost in layer
+// j - 1, column i is within tau of that column's minimum, and hi is the
+// highest k within tau in column i + 1 of this layer (never below its
+// argmin).  tau is 4x a worst-case bound on the rounding error of every
+// cost the next layer computes (derived in the constructor).  By the exact
+// quadrangle inequality, a split's excess over the column minimum does not
+// shrink from layer j - 1 to layer j below the previous argmin, nor from
+// column i + 1 to column i above its argmin.  So every k outside the
+// window sits more than twice the rounding error above some split inside
+// it, and cannot be the rounded lowest argmin: the result is bit-identical
+// to the full scan for every finite non-negative input.  The lower side
+// counts ties as near (`<=`), because a lower tied split would win; the
+// upper side need not (`<`).  On real inputs neighbouring costs differ by
+// far more than tau, so the near-argmins are the argmins and the windows
+// are Knuth's.
+//
+// The scan runs high to low with a non-strict `<=`, which picks the same
+// lowest argmin as the oracle's strict `<` running low to high, and it
+// records the lowest near-argmin on the way.  A short second pass from hi
+// down finds the highest one.  `near_lo` holds layer j - 1's lower bounds
+// on entry and layer j's on exit (all 0 for the one-group layer).
+void solve_layer(const std::vector<double>& prefix, std::size_t j, double tau,
+                 std::vector<double>& dp, std::uint32_t* parent,
+                 std::vector<std::uint32_t>& near_lo) {
+  const std::size_t count = prefix.size() - 1;
+  std::size_t k_hi = count - 1;  // column N + 1 does not exist
+  for (std::size_t i = count; i > j; --i) {
+    k_hi = std::min(k_hi, i - 1);
+    const std::size_t k_lo = std::max<std::size_t>(j, near_lo[i]);
+    const double p = prefix[i];
+    double best = kInf;
+    // Only costs overflowing to inf can empty the window; k_hi is still a
+    // legal split then.
+    std::size_t best_k = k_hi;
+    std::size_t lowest_near = k_hi;
+    for (std::size_t k = k_hi + 1; k-- > k_lo;) {
+      const double s = p - prefix[k];
+      const double c = dp[k] + s * s;
+      if (c <= best) {
+        best = c;
+        best_k = k;
+      }
+      if (c <= best + tau) lowest_near = k;
     }
-  }
-  dp_cur[mid] = best;
-  parent_cur[mid] = static_cast<std::uint32_t>(best_k);
-  if (mid > lo) {
-    solve_layer(prefix, dp_prev, lo, mid - 1, klo, best_k, dp_cur, parent_cur);
-  }
-  if (mid < hi) {
-    solve_layer(prefix, dp_prev, mid + 1, hi, best_k, khi, dp_cur, parent_cur);
+    const double limit = best + tau;
+    std::size_t highest_near = k_hi;
+    for (; highest_near > best_k; --highest_near) {
+      const double s = p - prefix[highest_near];
+      if (dp[highest_near] + s * s < limit) break;
+    }
+    dp[i] = best;
+    parent[i] = static_cast<std::uint32_t>(best_k);
+    near_lo[i] = static_cast<std::uint32_t>(lowest_near);
+    k_hi = highest_near;
   }
 }
 
@@ -81,24 +114,34 @@ PartitionTable::PartitionTable(const std::vector<double>& mpp_currents,
   prefix_.assign(count_ + 1, 0.0);
   for (std::size_t i = 0; i < count_; ++i) {
     // Rejecting NaN/inf here (not just negatives) is what lets the
-    // divide-and-conquer path promise oracle-identical results: non-finite
-    // costs would break the argmin monotonicity the recursion relies on.
+    // Knuth-Yao windows promise oracle-identical results: non-finite costs
+    // would break the split monotonicity that bounds every window.
     if (!std::isfinite(mpp_currents[i]) || mpp_currents[i] < 0.0) {
       throw std::invalid_argument("PartitionTable: non-finite or negative current");
     }
     prefix_[i + 1] = prefix_[i] + mpp_currents[i];
   }
   // Layer 0 (one group) is closed form; deeper layers are appended on
-  // demand by extend_to, which keeps the two value rows live between
-  // calls.  Layer j reads only layer j - 1, so the split into
-  // construction + extensions leaves every solved layer bit-identical to
-  // a one-shot full solve.
-  dp_prev_.assign(count_ + 1, kInf);
-  dp_cur_.assign(count_ + 1, kInf);
+  // demand by extend_to, which keeps the value row and the near-argmin row
+  // live between calls.  Layer j reads only layer j - 1's values and lower
+  // bounds, both retained, so the split into construction + extensions
+  // leaves every solved layer bit-identical to a one-shot full solve.
+  dp_.assign(count_ + 1, kInf);
   for (std::size_t i = 1; i <= count_; ++i) {
     const double s = prefix_[i] - prefix_[0];
-    dp_prev_[i] = s * s;
+    dp_[i] = s * s;
   }
+  near_lo_.assign(count_ + 1, 0);
+  // Worst-case rounding of the DP (see solve_layer): with u the unit
+  // roundoff and S the current total, each prefix sum errs by at most
+  // N u S, each rounded squared segment sum by (4N + 5) u S^2 and each
+  // addition by 2 u S^2, so a layer-m cost is within (m + 1) (4N + 7) u S^2
+  // of its exact value.  Layer j's slack, 4x that bound at m = j + 1, is
+  // (j + 2) * tau_step_; the step carries a further 2x headroom that
+  // absorbs the rounding of the slack arithmetic itself.
+  const double total = prefix_[count_];
+  tau_step_ = 4.0 * (4.0 * static_cast<double>(count_) + 8.0) *
+              std::numeric_limits<double>::epsilon() * total * total;
   solved_groups_ = 1;
   extend_to(initial_groups == 0 ? max_groups_ : initial_groups);
 }
@@ -111,9 +154,8 @@ void PartitionTable::extend_to(std::size_t n) {
   // pass holds solved/max of the cold footprint.
   parents_.resize((n - 1) * stride, 0);
   for (std::size_t j = solved_groups_; j < n; ++j) {
-    solve_layer(prefix_, dp_prev_, j + 1, count_, j, count_ - 1, dp_cur_,
-                parents_.data() + (j - 1) * stride);
-    dp_prev_.swap(dp_cur_);
+    solve_layer(prefix_, j, static_cast<double>(j + 2) * tau_step_, dp_,
+                parents_.data() + (j - 1) * stride, near_lo_);
   }
   solved_groups_ = n;
 }

@@ -11,11 +11,17 @@
 //
 // The naive DP is O(N^2) states with O(N) transitions — the O(N^3) runtime
 // the paper attributes to EHTR.  The squared-segment-sum cost satisfies the
-// quadrangle inequality for non-negative currents, so the per-layer argmin
-// is monotone in i and each layer collapses to O(N log N) by
-// divide-and-conquer optimisation: O(max_n * N log N) overall.  The cubic
-// DP lives in the test oracle library (tests/oracle/), where
-// tests/test_ehtr_opt.cpp proves it cost-identical to this one.  Each n's
+// quadrangle inequality for non-negative currents, so the lowest argmin is
+// split-monotone (Knuth 1971; Yao 1980): opt[j-1][i] <= opt[j][i] <=
+// opt[j][i+1].  Each column's scan is bounded by the previous layer's
+// split at that column and by the next column's split in the same layer;
+// the windows telescope, so the whole DP is O(N * (N + max_n)).  The
+// bounds are widened to every split whose rounded cost is within a
+// worst-case rounding slack of the column minimum, which keeps the result
+// bit-identical to a full scan even where rounding breaks exact ties
+// (all-equal currents).  The cubic DP lives in the test oracle library
+// (tests/oracle/), where tests/test_ehtr_opt.cpp checks the two against
+// each other on random, tied and degenerate inputs.  Each n's
 // partition is then scored with the same charger-aware objective.  Like
 // INOR in the paper's evaluation it re-runs every 0.5 s and always
 // actuates, hence its large switching overhead in Table I.
@@ -90,9 +96,12 @@ class PartitionTable {
   /// point k for dp[j][i] (layer j = one more group than layer j - 1).
   /// Sized for the solved layers only; extend_to() grows it.
   std::vector<std::uint32_t> parents_;
-  std::vector<double> prefix_;   ///< current prefix sums (DP cost basis)
-  std::vector<double> dp_prev_;  ///< value row of the last solved layer
-  std::vector<double> dp_cur_;   ///< scratch value row for the next layer
+  std::vector<double> prefix_;  ///< current prefix sums (DP cost basis)
+  std::vector<double> dp_;      ///< value row of the last solved layer
+  /// Lowest near-argmin per column of the last solved layer: the next
+  /// layer's window lower bounds (all 0 for the closed-form first layer).
+  std::vector<std::uint32_t> near_lo_;
+  double tau_step_ = 0.0;  ///< per-layer rounding slack of the windows
 };
 
 /// Warm-start seed for ehtr_search.  `incumbent_groups` seeds the

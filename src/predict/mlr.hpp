@@ -4,7 +4,11 @@
 // model T_{t+1,i} = b0 + sum_k b_k * T_{t-k+1,i} fitted by least squares
 // over every (module, time) pair in the history window.  Fitting is
 // O(N * W * L^2) and prediction is O(N * L) — the "ignorable" cost the
-// paper cites for MLR.
+// paper cites for MLR.  fit() never materialises the (N * (W - L)) x
+// (L + 1) design matrix: it accumulates the normal equations X^T X and
+// X^T y row by row straight from the history, in the design matrix's row
+// order, so the coefficients are bit-identical to util::least_squares on
+// the materialised system at O(L^2) scratch.
 #pragma once
 
 #include <vector>

@@ -18,8 +18,8 @@ struct ComparisonOptions {
   SimulationOptions sim;
   bool include_dnor = true;
   bool include_inor = true;
-  /// EHTR is subquadratic per invocation since the monotone-DP rewrite:
-  /// O(max_n * N log N) for the partition DP plus O(groups) per candidate
+  /// EHTR is quadratic per invocation since the Knuth-Yao DP rewrite:
+  /// O(N * (N + max_n)) for the partition DP plus O(groups) per candidate
   /// scored (candidates stream through the scorer, so memory is O(N)).
   /// At farm scale, bound the DP parent arena with `sim.ehtr_max_groups`
   /// and spread candidate scoring across `sim.num_threads`.

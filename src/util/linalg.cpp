@@ -193,16 +193,21 @@ std::vector<double> cholesky_solve(const Matrix& a, const std::vector<double>& b
   }
 }
 
+std::vector<double> solve_normal_equations(Matrix ata,
+                                           const std::vector<double>& atb,
+                                           double ridge) {
+  const double scale = 1.0 + ata.frobenius_norm();
+  for (std::size_t i = 0; i < ata.rows(); ++i) ata(i, i) += ridge * scale;
+  return cholesky_solve(ata, atb);
+}
+
 std::vector<double> least_squares(const Matrix& a, const std::vector<double>& b,
                                   double ridge) {
   if (a.rows() != b.size()) {
     throw std::invalid_argument("least_squares: dimension mismatch");
   }
   const Matrix at = a.transposed();
-  Matrix ata = at * a;
-  const double scale = 1.0 + ata.frobenius_norm();
-  for (std::size_t i = 0; i < ata.rows(); ++i) ata(i, i) += ridge * scale;
-  return cholesky_solve(ata, at * b);
+  return solve_normal_equations(at * a, at * b, ridge);
 }
 
 std::vector<double> qr_least_squares(const Matrix& a, const std::vector<double>& b) {

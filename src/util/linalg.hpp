@@ -71,9 +71,18 @@ std::ostream& operator<<(std::ostream& os, const Matrix& m);
 /// small numeric tolerance handled by a diagonal jitter retry).
 std::vector<double> cholesky_solve(const Matrix& a, const std::vector<double>& b);
 
+/// Solves the ridge-regularised normal equations (A^T A + lambda I) x =
+/// A^T b given the products `ata` = A^T A and `atb` = A^T b, with lambda =
+/// ridge * (1 + ||A^T A||_F), by cholesky_solve.  Callers that stream rows
+/// accumulate the products themselves and skip materialising A.
+std::vector<double> solve_normal_equations(Matrix ata,
+                                           const std::vector<double>& atb,
+                                           double ridge);
+
 /// Solves min_x ||A x - b||_2 by forming the normal equations with a tiny
-/// ridge term (A^T A + lambda I) x = A^T b.  Suitable for the small,
-/// well-conditioned regression problems in this library.
+/// ridge term (A^T A + lambda I) x = A^T b (solve_normal_equations).
+/// Suitable for the small, well-conditioned regression problems in this
+/// library.
 std::vector<double> least_squares(const Matrix& a, const std::vector<double>& b,
                                   double ridge = 1e-9);
 

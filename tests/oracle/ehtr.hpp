@@ -1,7 +1,7 @@
 // Test oracles for EHTR's production search (core/ehtr.hpp).
 //
-// The library ships one EHTR path: the divide-and-conquer partition DP
-// driven by the certified warm-started search.  The alternatives it was
+// The library ships one EHTR path: the Knuth-Yao partition DP driven by
+// the certified warm-started search.  The alternatives it was
 // proven against live here, for differential tests and benches only:
 //  * cubic_partitions — the O(max_n * N^2) full-scan partition DP;
 //  * balanced_partitions — every partition of a core::PartitionTable,
@@ -22,7 +22,7 @@ namespace tegrec::oracle {
 
 /// Which partition DP a cold search solves.
 enum class Dp {
-  kDivideAndConquer,  ///< core::PartitionTable, the production DP
+  kKnuthYao,  ///< core::PartitionTable, the production DP
   kCubic,             ///< cubic_partitions
 };
 
@@ -49,6 +49,6 @@ std::vector<teg::ArrayConfig> balanced_partitions(
 teg::ArrayConfig cold_ehtr_search(const teg::TegArray& array,
                                   const power::Converter& converter,
                                   std::size_t max_groups = 0,
-                                  Dp dp = Dp::kDivideAndConquer);
+                                  Dp dp = Dp::kKnuthYao);
 
 }  // namespace tegrec::oracle

@@ -1,7 +1,9 @@
 // Equivalence and determinism suite for the optimised EHTR hot path:
-//  * the divide-and-conquer partition DP must reproduce the cubic oracle's
-//    (oracle::cubic_partitions) partition costs bit-for-bit (same
-//    objective, same tie-break),
+//  * the Knuth-Yao partition DP must reproduce the cubic oracle's
+//    (oracle::cubic_partitions) partitions and costs bit-for-bit (same
+//    objective, same lowest-split tie-break) across random, tied,
+//    zero-plateau, single-hot-module and smooth fields, and a table
+//    extended one layer at a time must equal a one-shot solve,
 //  * ArrayEvaluator's cached scoring must match the SeriesString path to
 //    1e-12 relative,
 //  * parallel candidate scoring must be bit-identical for every thread
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -43,7 +46,7 @@ double partition_cost(const std::vector<double>& impp,
   return cost;
 }
 
-TEST(PartitionDpEquivalence, DcMatchesLegacyOracleAcrossSeeds) {
+TEST(PartitionDpEquivalence, KnuthYaoMatchesCubicOracleAcrossSeeds) {
   // >= 20 random seeds, sizes up to 512 (acceptance criterion).
   const std::size_t sizes[] = {512, 3,   5,   9,   17,  33,  48,  64,  70, 96,
                                100, 128, 150, 200, 250, 257, 300, 350, 400, 450};
@@ -52,23 +55,23 @@ TEST(PartitionDpEquivalence, DcMatchesLegacyOracleAcrossSeeds) {
     const std::size_t n = sizes[trial];
     std::vector<double> impp(n);
     for (auto& x : impp) x = rng.uniform(0.05, 2.5);
-    const auto dc = oracle::balanced_partitions(impp, n);
-    const auto legacy = oracle::cubic_partitions(impp, n);
-    ASSERT_EQ(dc.size(), n);
-    ASSERT_EQ(legacy.size(), n);
+    const auto ky = oracle::balanced_partitions(impp, n);
+    const auto cubic = oracle::cubic_partitions(impp, n);
+    ASSERT_EQ(ky.size(), n);
+    ASSERT_EQ(cubic.size(), n);
     for (std::size_t g = 0; g < n; ++g) {
-      ASSERT_EQ(dc[g].num_groups(), g + 1);
+      ASSERT_EQ(ky[g].num_groups(), g + 1);
       // Bit-identical cost; with continuous random currents the argmin is
       // unique, so the partitions themselves coincide too.
-      EXPECT_EQ(partition_cost(impp, dc[g]), partition_cost(impp, legacy[g]))
+      EXPECT_EQ(partition_cost(impp, ky[g]), partition_cost(impp, cubic[g]))
           << "seed " << trial << " n " << n << " groups " << g + 1;
-      EXPECT_EQ(dc[g], legacy[g])
+      EXPECT_EQ(ky[g], cubic[g])
           << "seed " << trial << " n " << n << " groups " << g + 1;
     }
   }
 }
 
-TEST(PartitionDpEquivalence, DcMatchesLegacyWithTiesAndZeros) {
+TEST(PartitionDpEquivalence, KnuthYaoMatchesCubicWithTiesAndZeros) {
   // Stone-cold modules (zero current) create exact cost ties; both DPs must
   // resolve them with the same lowest-k rule.
   util::Rng rng(7);
@@ -77,12 +80,122 @@ TEST(PartitionDpEquivalence, DcMatchesLegacyWithTiesAndZeros) {
     for (auto& x : impp) {
       x = rng.uniform(0.0, 1.0) < 0.35 ? 0.0 : rng.uniform(0.5, 1.5);
     }
-    const auto dc = oracle::balanced_partitions(impp, 64);
-    const auto legacy = oracle::cubic_partitions(impp, 64);
+    const auto ky = oracle::balanced_partitions(impp, 64);
+    const auto cubic = oracle::cubic_partitions(impp, 64);
     for (std::size_t g = 0; g < 64; ++g) {
-      EXPECT_EQ(partition_cost(impp, dc[g]), partition_cost(impp, legacy[g]))
+      EXPECT_EQ(partition_cost(impp, ky[g]), partition_cost(impp, cubic[g]))
           << "trial " << trial << " groups " << g + 1;
-      EXPECT_EQ(dc[g], legacy[g]) << "trial " << trial << " groups " << g + 1;
+      EXPECT_EQ(ky[g], cubic[g]) << "trial " << trial << " groups " << g + 1;
+    }
+  }
+}
+
+// One stress field per seed, cycling through the shapes that stress the
+// Knuth-Yao windows: exact ties, zero plateaus (empty groups cost 0),
+// spikes and the smooth gradients real radiators produce.
+std::vector<double> stress_field(std::size_t kind, std::size_t n,
+                                 util::Rng& rng) {
+  std::vector<double> impp(n);
+  switch (kind) {
+    case 0:  // continuous random currents
+      for (auto& x : impp) x = rng.uniform(0.05, 2.5);
+      break;
+    case 1: {  // zero plateaus at both ends around a random core
+      const auto head = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(n / 3)));
+      const auto tail = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(n / 3)));
+      for (std::size_t i = 0; i < n; ++i) {
+        impp[i] = i < head || i + tail >= n ? 0.0 : rng.uniform(0.1, 2.0);
+      }
+      break;
+    }
+    case 2: {  // all-equal currents: exact ties that rounding breaks
+               // differently from one layer to the next
+      const double level = rng.bernoulli(0.5) ? 1.0 : rng.uniform(0.1, 3.0);
+      for (auto& x : impp) x = level;
+      break;
+    }
+    case 3: {  // one hot module among cold (or dead) ones
+      const double cold = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.01, 0.1);
+      for (auto& x : impp) x = cold;
+      impp[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(n) - 1))] = rng.uniform(2.0, 5.0);
+      break;
+    }
+    case 4: {  // smooth monotone field: inlet-hot exponential decay
+      const double peak = rng.uniform(1.0, 3.0);
+      const double floor = rng.uniform(0.0, 0.3);
+      const double length = rng.uniform(0.1, 1.0) * static_cast<double>(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        impp[i] = floor + peak * std::exp(-static_cast<double>(i) / length);
+      }
+      if (rng.bernoulli(0.5)) std::reverse(impp.begin(), impp.end());
+      break;
+    }
+    default:  // random currents with exact zeros mixed in
+      for (auto& x : impp) {
+        x = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.5, 1.5);
+      }
+      break;
+  }
+  return impp;
+}
+
+constexpr std::size_t kStressKinds = 6;
+
+TEST(PartitionDpEquivalence, KnuthYaoStressAgainstCubicOracle) {
+  // 240 seeds: every field kind at N in {1, 2, 3} and at random sizes, with
+  // every 24th seed at N = 512 and a third of the seeds capped below N
+  // (the warm search's partial solves).
+  for (std::size_t seed = 0; seed < 240; ++seed) {
+    util::Rng rng(5000 + seed);
+    const std::size_t kind = seed % kStressKinds;
+    std::size_t n = 0;
+    if (seed < 3 * kStressKinds) {
+      n = 1 + seed / kStressKinds;
+    } else if (seed % 24 == 0) {
+      n = 512;
+    } else {
+      n = static_cast<std::size_t>(rng.uniform_int(4, 160));
+    }
+    const std::vector<double> impp = stress_field(kind, n, rng);
+    const std::size_t max_n =
+        seed % 3 == 1
+            ? static_cast<std::size_t>(
+                  rng.uniform_int(1, static_cast<int>(n)))
+            : n;
+    const PartitionTable table(impp, max_n);
+    const auto cubic = oracle::cubic_partitions(impp, max_n);
+    for (std::size_t g = 1; g <= max_n; ++g) {
+      const teg::ArrayConfig ky = table.config(g);
+      ASSERT_EQ(ky, cubic[g - 1]) << "seed " << seed << " kind " << kind
+                                  << " n " << n << " groups " << g;
+      ASSERT_EQ(partition_cost(impp, ky), partition_cost(impp, cubic[g - 1]))
+          << "seed " << seed << " groups " << g;
+    }
+  }
+}
+
+TEST(PartitionDpEquivalence, LayerByLayerExtensionMatchesOneShot) {
+  // Each layer's window lower bounds come from the previous layer's parent
+  // row, so a table grown one layer per extend_to call must reproduce the
+  // one-shot solve exactly, for every field kind.
+  for (std::size_t seed = 0; seed < 4 * kStressKinds; ++seed) {
+    util::Rng rng(9000 + seed);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 96));
+    const std::vector<double> impp = stress_field(seed % kStressKinds, n, rng);
+    const PartitionTable full(impp, n);
+    PartitionTable grown(impp, n, 1);
+    for (std::size_t g = 1; g <= n; ++g) {
+      grown.extend_to(g);
+      ASSERT_EQ(grown.solved_groups(), g);
+      ASSERT_EQ(grown.config(g), full.config(g))
+          << "seed " << seed << " groups " << g;
+    }
+    for (std::size_t g = 1; g <= n; ++g) {
+      EXPECT_EQ(grown.config(g), full.config(g))
+          << "seed " << seed << " groups " << g;
     }
   }
 }
@@ -170,7 +283,7 @@ TEST(EhtrParallel, SearchIsThreadCountInvariant) {
   }
 }
 
-TEST(EhtrParallel, DcAndLegacySearchesAgree) {
+TEST(EhtrParallel, SearchMatchesCubicColdSweep) {
   util::Rng rng(133);
   const power::Converter conv(kConv);
   for (std::size_t trial = 0; trial < 4; ++trial) {
@@ -184,8 +297,9 @@ TEST(EhtrParallel, DcAndLegacySearchesAgree) {
 }
 
 TEST(PartitionDpEquivalence, RejectsNonFiniteCurrents) {
-  // The bit-identical d&c/oracle contract only holds for finite inputs, so
-  // both DPs refuse NaN/inf outright; ehtr_search sanitises before calling.
+  // The bit-identical Knuth-Yao/oracle contract only holds for finite
+  // inputs, so both DPs refuse NaN/inf outright; ehtr_search sanitises
+  // before calling.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(PartitionTable({1.0, nan, 1.0}, 2), std::invalid_argument);

@@ -66,7 +66,7 @@ TEST(PartitionTableSuite, MatchesBalancedPartitionsBothDps) {
     EXPECT_EQ(table.num_modules(), n);
     EXPECT_EQ(table.max_groups(), n);
     for (const oracle::Dp dp :
-         {oracle::Dp::kDivideAndConquer, oracle::Dp::kCubic}) {
+         {oracle::Dp::kKnuthYao, oracle::Dp::kCubic}) {
       const auto materialised = dp == oracle::Dp::kCubic
                                     ? oracle::cubic_partitions(impp, n)
                                     : oracle::balanced_partitions(impp, n);

@@ -75,7 +75,7 @@ TEST(EhtrWarm, BitIdenticalToColdAcrossSeedsAndDriftingFields) {
 TEST(EhtrWarm, BitIdenticalAcrossThreadsDpKindsAndCaps) {
   const std::size_t n = 48;
   const power::Converter conv(kConv);
-  const oracle::Dp kinds[] = {oracle::Dp::kDivideAndConquer,
+  const oracle::Dp kinds[] = {oracle::Dp::kKnuthYao,
                               oracle::Dp::kCubic};
   const std::size_t caps[] = {0, 7, 24};       // 0 = full sweep
   const std::size_t threads[] = {1, 4, 0};     // 0 = hardware concurrency

@@ -316,7 +316,8 @@ TEST(LintCacheKey, ParsesDataMembersOnly) {
 TEST(LintCacheKey, FlagsUnserialisedFieldButHonoursExclusions) {
   const StructSpec spec{"tests/lint_fixtures/cache_key_config.hpp",
                         "DemoConfig",
-                        {{"debug_label", "execution hint, not physics"}}};
+                        {{"debug_label", "execution hint, not physics"}},
+                        "bindings.cpp"};
   const auto findings =
       check_cache_key(spec, fixture("cache_key_config.hpp"),
                       fixture("cache_key_bindings.cpp"), "bindings.cpp");
@@ -331,7 +332,8 @@ TEST(LintCacheKey, FlagsUnserialisedFieldButHonoursExclusions) {
 TEST(LintCacheKey, FlagsStaleExclusionsAndRenamedStructs) {
   StructSpec spec{"cache_key_config.hpp",
                   "DemoConfig",
-                  {{"debug_label", "exec"}, {"ghost_field", "obsolete"}}};
+                  {{"debug_label", "exec"}, {"ghost_field", "obsolete"}},
+                  "bindings.cpp"};
   auto findings =
       check_cache_key(spec, fixture("cache_key_config.hpp"),
                       fixture("cache_key_bindings.cpp"), "bindings.cpp");

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <string>
 
+#include "util/linalg.hpp"
 #include "util/rng.hpp"
 
 namespace tegrec::predict {
@@ -139,6 +141,100 @@ TEST(PredictorBase, HorizonZeroThrows) {
   const TemperatureHistory h = ar2_history(2, 25, 1.0, 0.0, 0.0);
   mlr.fit(h);
   EXPECT_THROW(mlr.predict_horizon(h, 0), std::invalid_argument);
+}
+
+// The least-squares problem fit() solves, materialised the way fit() once
+// built it: one design row [1, T_{t-1}, ..., T_{t-L}] -> T_t per (t,
+// module), t-major, solved by util::least_squares.
+std::vector<double> materialised_fit(const TemperatureHistory& h,
+                                     std::size_t lags, double ridge) {
+  const std::size_t modules = h.num_modules();
+  util::Matrix x(modules * (h.size() - lags), lags + 1);
+  std::vector<double> y(x.rows());
+  std::size_t r = 0;
+  for (std::size_t t = lags; t < h.size(); ++t) {
+    for (std::size_t m = 0; m < modules; ++m, ++r) {
+      x(r, 0) = 1.0;
+      for (std::size_t k = 1; k <= lags; ++k) x(r, k) = h.row(t - k)[m];
+      y[r] = h.row(t)[m];
+    }
+  }
+  return util::least_squares(x, y, ridge);
+}
+
+void expect_bit_identical_fit(const TemperatureHistory& h, std::size_t lags,
+                              double ridge, const std::string& label) {
+  MlrPredictor mlr(MlrParams{.lags = lags, .ridge = ridge});
+  mlr.fit(h);
+  const std::vector<double> expected = materialised_fit(h, lags, ridge);
+  ASSERT_EQ(mlr.coefficients().size(), expected.size()) << label;
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(mlr.coefficients()[k], expected[k])
+        << label << " lags " << lags << " coefficient " << k;
+  }
+}
+
+TEST(MlrStreamedFit, BitIdenticalToMaterialisedLeastSquares) {
+  util::Rng rng(2024);
+  for (std::size_t lags = 1; lags <= 6; ++lags) {
+    for (std::size_t trial = 0; trial < 8; ++trial) {
+      const std::size_t modules =
+          1 + static_cast<std::size_t>(rng.uniform_int(0, 11));
+      const std::size_t steps =
+          2 * lags + 8 + static_cast<std::size_t>(rng.uniform_int(0, 32));
+      TemperatureHistory h(modules, steps);
+      std::vector<double> row(modules);
+      for (auto& v : row) v = rng.uniform(40.0, 95.0);
+      for (std::size_t t = 0; t < steps; ++t) {
+        for (auto& v : row) v = 0.97 * v + 2.4 + rng.gaussian(0.0, 0.3);
+        h.push(row);
+      }
+      const double ridge = trial % 2 == 0 ? 1e-8 : 0.0;
+      expect_bit_identical_fit(h, lags, ridge,
+                               "random trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(MlrStreamedFit, BitIdenticalWithExactZeroTemperatures) {
+  // Exact zeros (+0 and -0) exercise X^T X's exact-zero skip, which X^T y
+  // does not take; the streamed sums must take the same branches.
+  util::Rng rng(77);
+  for (std::size_t lags = 1; lags <= 6; ++lags) {
+    for (std::size_t trial = 0; trial < 6; ++trial) {
+      const std::size_t modules = 2 + trial;
+      const std::size_t steps = lags + 12 + 3 * trial;
+      TemperatureHistory h(modules, steps);
+      std::vector<double> row(modules);
+      for (std::size_t t = 0; t < steps; ++t) {
+        for (auto& v : row) {
+          const double u = rng.uniform(0.0, 1.0);
+          v = u < 0.25 ? 0.0 : u < 0.35 ? -0.0 : rng.uniform(-5.0, 90.0);
+        }
+        h.push(row);
+      }
+      expect_bit_identical_fit(h, lags, 1e-8,
+                               "zeros trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(MlrStreamedFit, BitIdenticalOnConstantSignals) {
+  // Constant histories make X^T X singular: with no ridge the Cholesky
+  // pivot hits zero and cholesky_solve takes its diagonal-jitter retry.
+  // An all-zero history also skips every lag term.
+  for (std::size_t lags = 1; lags <= 6; ++lags) {
+    for (const double level : {0.0, 50.0, 87.25}) {
+      TemperatureHistory h(4, lags + 16);
+      for (std::size_t t = 0; t < lags + 16; ++t) {
+        h.push(std::vector<double>(4, level));
+      }
+      for (const double ridge : {0.0, 1e-8}) {
+        expect_bit_identical_fit(h, lags, ridge,
+                                 "constant " + std::to_string(level));
+      }
+    }
+  }
 }
 
 // MAPE of the 1-step MLR forecast on a smooth thermal-like signal must be

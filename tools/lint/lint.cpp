@@ -1071,23 +1071,24 @@ std::vector<StructSpec> default_struct_specs() {
   // could describe different experiments.  tests/test_fingerprint_fields
   // is the runtime twin: it perturbs each field and asserts the
   // fingerprint moves (and that exec.* hints do not).
+  const std::string spec = default_bindings_path();
   return {
-      {"src/sim/spec.hpp", "ExperimentSpec", {}},
-      {"src/sim/spec.hpp", "TraceSource", {}},
-      {"src/thermal/trace.hpp", "TraceGeneratorConfig", {}},
-      {"src/thermal/drive_cycle.hpp", "DriveSegment", {}},
-      {"src/thermal/drive_cycle.hpp", "VehicleParams", {}},
-      {"src/thermal/ambient.hpp", "AmbientProfile", {}},
-      {"src/thermal/ambient.hpp", "AmbientStepEvent", {}},
-      {"src/thermal/engine_thermal.hpp", "EngineThermalParams", {}},
-      {"src/thermal/radiator.hpp", "RadiatorLayout", {}},
-      {"src/thermal/heat_exchanger.hpp", "HeatExchangerParams", {}},
-      {"src/teg/device.hpp", "DeviceParams", {}},
-      {"src/power/converter.hpp", "ConverterParams", {}},
-      {"src/power/battery.hpp", "BatteryParams", {}},
-      {"src/switchfab/overhead.hpp", "OverheadParams", {}},
-      {"src/sim/simulator.hpp", "SimulationOptions", {}},
-      {"src/sim/experiment.hpp", "ComparisonOptions", {}},
+      {"src/sim/spec.hpp", "ExperimentSpec", {}, spec},
+      {"src/sim/spec.hpp", "TraceSource", {}, spec},
+      {"src/thermal/trace.hpp", "TraceGeneratorConfig", {}, spec},
+      {"src/thermal/drive_cycle.hpp", "DriveSegment", {}, spec},
+      {"src/thermal/drive_cycle.hpp", "VehicleParams", {}, spec},
+      {"src/thermal/ambient.hpp", "AmbientProfile", {}, spec},
+      {"src/thermal/ambient.hpp", "AmbientStepEvent", {}, spec},
+      {"src/thermal/engine_thermal.hpp", "EngineThermalParams", {}, spec},
+      {"src/thermal/radiator.hpp", "RadiatorLayout", {}, spec},
+      {"src/thermal/heat_exchanger.hpp", "HeatExchangerParams", {}, spec},
+      {"src/teg/device.hpp", "DeviceParams", {}, spec},
+      {"src/power/converter.hpp", "ConverterParams", {}, spec},
+      {"src/power/battery.hpp", "BatteryParams", {}, spec},
+      {"src/switchfab/overhead.hpp", "OverheadParams", {}, spec},
+      {"src/sim/simulator.hpp", "SimulationOptions", {}, spec},
+      {"src/sim/experiment.hpp", "ComparisonOptions", {}, spec},
       // Streaming checkpoint state: serialised by sim/checkpoint.cpp, not
       // the spec bindings.  A StepperState/StreamConfig field missing from
       // the codec silently resumes a different simulation; a
@@ -1163,12 +1164,9 @@ RepoReport run_repo_lint(const std::string& root,
     return it->second;
   };
   for (const StructSpec& spec : default_struct_specs()) {
-    const std::string bindings_path =
-        spec.bindings_path.empty() ? default_bindings_path()
-                                   : spec.bindings_path;
     const std::vector<Finding> found = check_cache_key(
         spec, read_file(root_path / spec.header_path),
-        bindings_content(bindings_path), bindings_path);
+        bindings_content(spec.bindings_path), spec.bindings_path);
     all.insert(all.end(), found.begin(), found.end());
   }
 

@@ -136,11 +136,11 @@ struct StructSpec {
   /// documented justification (rendered in the finding message if the
   /// field disappears, and in --list-rules output).
   std::vector<std::pair<std::string, std::string>> excluded_fields;
-  /// Repo-relative source whose text must name every field.  Empty uses
+  /// Repo-relative source whose text must name every field:
   /// default_bindings_path() — the experiment-spec canonical-text
-  /// bindings.  The streaming checkpoint structs point at the checkpoint
-  /// codec instead: same hazard (a field that does not serialise resumes
-  /// a different simulation), different serialiser.
+  /// bindings — for spec structs.  The streaming checkpoint structs point
+  /// at the checkpoint codec instead: same hazard (a field that does not
+  /// serialise resumes a different simulation), different serialiser.
   std::string bindings_path;
 };
 
