@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -198,59 +197,11 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
   const std::size_t count = array.size();
   if (max_groups == 0 || max_groups > count) max_groups = count;
 
-  // Warm-start prerequisites.  The score bound below needs every module's
-  // open-circuit voltage finite and its resistance finite and positive;
-  // anything degenerate (NaN temperature spikes, open faults) turns the
-  // warm pass off and the search runs the full sweep.
-  bool warm_ok = max_groups > 1;
-  std::vector<double> voc_top_prefix;  // [n] = sum of the n largest vocs
-  double total_g = 0.0;
-  if (warm_ok) {
-    std::vector<double> vocs(count);
-    for (std::size_t i = 0; i < count && warm_ok; ++i) {
-      const teg::Module& m = array.module(i);
-      const double voc = m.open_circuit_voltage_v();
-      const double r = m.internal_resistance_ohm();
-      if (!std::isfinite(voc) || !std::isfinite(r) || r <= 0.0) {
-        warm_ok = false;
-      } else {
-        vocs[i] = voc;
-        total_g += 1.0 / r;
-      }
-    }
-    if (warm_ok && !(std::isfinite(total_g) && total_g > 0.0)) warm_ok = false;
-    if (warm_ok) {
-      std::sort(vocs.begin(), vocs.end(), std::greater<double>());
-      voc_top_prefix.assign(count + 1, 0.0);
-      for (std::size_t i = 0; i < count; ++i) {
-        voc_top_prefix[i + 1] = voc_top_prefix[i] + vocs[i];
-      }
-    }
-  }
-
-  // Upper bound on the charger-aware score of ANY n-group partition:
-  //  * string voc <= Vtop(n): each group's voc is the conductance-weighted
-  //    mean of its members (<= its max member), and n disjoint groups'
-  //    maxima are n distinct modules, so their sum <= the top-n voc sum;
-  //  * string resistance >= n^2 / G by AM-HM over the group conductances;
-  //  * the converter outputs at most eta_peak * min(P_cap, Pin), and zero
-  //    outside its input-voltage window, so the best input power is
-  //    max_{v in [vmin, vmax]} v * (voc - v) / r — concave in v, hence
-  //    attained at V/2 clamped into the window.
-  const power::ConverterParams& cpar = converter.params();
-  auto score_bound = [&](std::size_t n) {
-    const double v_top = voc_top_prefix[n];
-    const double g_over_n2 =
-        total_g / (static_cast<double>(n) * static_cast<double>(n));
-    const double v =
-        std::clamp(v_top * 0.5, cpar.min_input_v, cpar.max_input_v);
-    const double pq = v * std::max(v_top - v, 0.0) * g_over_n2;
-    // 1e-9 relative headroom absorbs prefix-sum rounding slop; true scores
-    // sit below the bound by at least the fixed-loss derating, orders of
-    // magnitude more.
-    return cpar.eta_peak * std::min(cpar.max_input_power_w, pq) *
-           (1.0 + 1e-9);
-  };
+  // The bound needs every module's voc finite and its resistance finite
+  // and positive; anything degenerate (NaN temperature spikes, open
+  // faults) turns the warm pass off and the search runs the full sweep.
+  const ScoreBound ceiling(array, converter);
+  const bool warm_ok = max_groups > 1 && ceiling.usable();
 
   // First DP frontier: a neighbourhood of the incumbent group count (or of
   // the converter's efficient window when there is no incumbent yet).
@@ -316,17 +267,21 @@ teg::ArrayConfig ehtr_search(const teg::TegArray& array,
   std::size_t solved = table.solved_groups();
   score_range(0, solved);
   fold_argmax(solved);
-  // Certified extension loop.  Any unscored n with score_bound(n) strictly
+  // Certified extension loop.  Any unscored n whose bound is strictly
   // below the scored best can never win: the argmax only moves on a strict
-  // improvement, and its score is at most the bound.  So extend the DP to
-  // the largest n whose bound ties or beats the best, score the new range
-  // for real, and repeat; when no bound survives, the prefix argmax IS the
-  // cold argmax.  Worst case the frontier reaches max_groups and the warm
-  // pass has performed exactly the cold computation.
+  // improvement, and an n-group config scoring at least the best would
+  // score at most that bound.  So extend the DP to the largest n whose
+  // bound ties or beats the best, score the new range for real, and
+  // repeat; when no bound survives, the prefix argmax IS the cold argmax.
+  // Worst case the frontier reaches max_groups and the warm pass has
+  // performed exactly the cold computation.
   while (solved < max_groups) {
-    std::size_t frontier = solved;
-    for (std::size_t n = solved + 1; n <= max_groups; ++n) {
-      if (score_bound(n) >= best_power) frontier = n;
+    // The band narrows as the best rises, so it is recomputed every round.
+    const ScoreBound::Band band = ceiling.band(best_power);
+    std::size_t frontier = max_groups;
+    while (frontier > solved &&
+           ceiling.bound(frontier, band) < best_power) {
+      --frontier;
     }
     if (frontier == solved) break;
     table.extend_to(frontier);

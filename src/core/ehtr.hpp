@@ -28,13 +28,18 @@
 //
 // Warm starts (docs/actuation.md): across consecutive actuations the
 // temperature field drifts slowly, so the optimal group count moves little.
-// ehtr_search therefore solves the DP only up to a neighbourhood of the
-// incumbent group count and *certifies* the rest away with a per-n upper
-// bound on any n-group config's charger-aware score; whenever the bound
-// can't rule a region out, the DP is extended into it and scored for real.
-// In the worst case that converges to the full cold sweep, so the chosen
-// config is bit-identical to cold search by construction (the cold sweep
-// is kept as a test oracle in tests/oracle/).
+// ehtr_search therefore solves the DP only a few layers past the incumbent
+// group count and *certifies* the rest away with core::ScoreBound
+// (core/objective.hpp), a per-n upper bound on the charger-aware score of
+// any n-group config that could match the best score found so far.  The
+// bound confines such a config to the converter's efficiency band around
+// Vout (it must be nearly as efficient as the best already is), couples
+// the string's voc and resistance through the array's total MPP, and
+// maximises the string power over both in closed form.  Whenever the
+// bound can't rule a region out, the DP is extended into it and scored for
+// real.  In the worst case that converges to the full cold sweep, so the
+// chosen config is bit-identical to cold search by construction (the cold
+// sweep is kept as a test oracle in tests/oracle/).
 #pragma once
 
 #include <cstddef>
@@ -109,10 +114,13 @@ class PartitionTable {
 /// efficient group-count window) and `width` is how far past the seed the
 /// first DP solve reaches.  Purely a performance hint: the certified
 /// extension loop guarantees the chosen config is bit-identical to the
-/// cold sweep for every setting.
+/// cold sweep for every setting.  The default is narrow because the first
+/// solve's layers are all solved and scored whatever the bound says; the
+/// extension loop reaches further wherever the bound cannot rule a count
+/// out.
 struct EhtrWarmStart {
   std::size_t incumbent_groups = 0;
-  std::size_t width = 64;
+  std::size_t width = 4;
 };
 
 /// Observability counters for one ehtr_search call (bench + tests).
@@ -133,19 +141,20 @@ struct EhtrSearchStats {
 /// for every thread count; if no candidate scores above the sentinel
 /// (e.g. an all-NaN temperature field) the first candidate is returned.
 ///
-/// The DP is solved only to a neighbourhood of the warm seed's group
-/// count, and group counts beyond the frontier are pruned by a provable
-/// score bound: any n-group config scores at most
-/// eta_peak * min(P_cap, max_{v in window} v*(Vtop(n)-v)*G/n^2), where
-/// Vtop(n) is the sum of the n largest module open-circuit voltages (each
-/// group's voc is a conductance-weighted mean <= its max member) and G the
-/// total module conductance (r_string >= n^2/G by AM-HM).  Counts whose
-/// bound ties or beats the scored best force a DP extension and real
-/// scoring; only counts the bound strictly rules out are skipped, so the
-/// strict-improvement argmax provably can't land there and the result
-/// stays bit-identical to cold search.  Degenerate inputs (non-finite
-/// vocs or conductances) leave no usable bound, so the search falls back
-/// to the full sweep.
+/// The DP is solved only to `warm.width` layers past the warm seed's group
+/// count, and group counts beyond the frontier are pruned by
+/// ScoreBound: a config can match the scored best only inside the
+/// converter's efficiency band around Vout, where its string voc lies in
+/// [Vbot(n), Vtop(n)] (the n smallest / largest module vocs), its
+/// resistance is at least max(n^2 / G, voc^2 / (4 P_tot)), and its score
+/// is at most eta_peak * d(min(P_cap, max_voc max_v v (voc - v) / r)).
+/// The band is recomputed every extension round, as the best only rises.
+/// Counts whose bound ties or beats the scored best force a DP extension
+/// and real scoring; only counts the bound strictly rules out are skipped,
+/// so the strict-improvement argmax provably can't land there and the
+/// result stays bit-identical to cold search.  Degenerate inputs
+/// (non-finite vocs or conductances) leave no usable bound, so the search
+/// falls back to the full sweep.
 teg::ArrayConfig ehtr_search(const teg::TegArray& array,
                              const power::Converter& converter,
                              std::size_t num_threads = 1,

@@ -33,7 +33,12 @@ teg::ArrayConfig inor_partition(const std::vector<double>& mpp_currents,
                                 std::size_t n);
 
 /// Full Algorithm 1: scans the n window, scores each greedy partition with
-/// the charger-aware objective and returns the best configuration.
+/// the charger-aware objective and returns the best configuration (the
+/// first strict maximum in ascending n; the empty config if nothing scores
+/// above -1).  The scan starts at the window's geometric middle and skips
+/// any count whose ScoreBound is below the best already scored: such a
+/// count cannot hold the maximum, so the pick equals the plain in-order
+/// scan's.
 teg::ArrayConfig inor_search(const teg::TegArray& array,
                              const power::Converter& converter,
                              const InorOptions& options = {});

@@ -16,6 +16,17 @@ Converter::Converter(const ConverterParams& params) : params_(params) {
   if (params_.min_input_v <= 0.0 || params_.max_input_v <= params_.min_input_v) {
     throw std::invalid_argument("Converter: bad input window");
   }
+  // eta <= eta_peak and Pout <= Pin rest on these three; EHTR's score
+  // bound assumes both.  The negated comparisons also reject NaN.
+  if (!(params_.voltage_penalty >= 0.0)) {
+    throw std::invalid_argument("Converter: voltage_penalty < 0");
+  }
+  if (!(params_.fixed_loss_w >= 0.0)) {
+    throw std::invalid_argument("Converter: fixed_loss_w < 0");
+  }
+  if (!(params_.max_input_power_w > 0.0)) {
+    throw std::invalid_argument("Converter: max_input_power_w <= 0");
+  }
 }
 
 bool Converter::input_in_range(double vin_v) const {

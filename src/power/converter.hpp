@@ -29,6 +29,9 @@ struct ConverterParams {
 
 class Converter {
  public:
+  /// Throws std::invalid_argument on a non-positive output voltage,
+  /// eta_peak outside (0, 1], an empty input window, a negative voltage
+  /// penalty or fixed loss, or a non-positive power limit.
   explicit Converter(const ConverterParams& params = {});
 
   const ConverterParams& params() const { return params_; }

@@ -9,6 +9,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "power/converter.hpp"
 #include "thermal/scenario.hpp"
 #include "util/hash.hpp"
 #include "util/parse.hpp"
@@ -383,6 +384,15 @@ void bind(FieldIo& io, power::ConverterParams& p) {
   io.field("min_input_v", p.min_input_v);
   io.field("max_input_v", p.max_input_v);
   io.field("max_input_power_w", p.max_input_power_w);
+  // Reject at parse time what the Converter would reject at run time, so
+  // a bad converter block never reaches a queue, a cache key or a spool.
+  if (io.parsing()) {
+    try {
+      (void)power::Converter(p);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("experiment spec: ") + e.what());
+    }
+  }
 }
 
 void bind(FieldIo& io, power::BatteryParams& p) {

@@ -1,6 +1,7 @@
 // Exhaustive configuration search (test oracles for small N).
 //
-// Two searches back the near-optimality claims:
+// Two searches back the near-optimality claims, and a per-partition
+// listing backs the EHTR score bound's soundness test:
 //  * exhaustive_contiguous_search — enumerates all 2^(N-1) contiguous
 //    partitions (every subset of series boundaries).  This is the true
 //    optimum of the space INOR/EHTR search; tests assert both heuristics
@@ -9,6 +10,8 @@
 //    (non-contiguous grouping, Bell(N) candidates) to quantify how much
 //    the fabric's contiguity restriction costs at all.  Only feasible for
 //    N <~ 12.
+//  * exhaustive_contiguous_scores — every contiguous partition's group
+//    count and score.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +39,16 @@ struct ExhaustiveResult {
 /// candidates) to keep runtimes sane.
 ExhaustiveResult exhaustive_contiguous_search(const teg::TegArray& array,
                                               const power::Converter& converter);
+
+/// Group count and charger-aware power of every contiguous partition, in
+/// boundary-mask order (bit i set = series boundary after module i).
+/// Throws for N > 16 (2^15 partitions).
+struct ScoredPartition {
+  std::size_t num_groups = 0;
+  double power_w = 0.0;
+};
+std::vector<ScoredPartition> exhaustive_contiguous_scores(
+    const teg::TegArray& array, const power::Converter& converter);
 
 /// Best power over all set partitions (groups need not be contiguous).
 /// The returned power is what a fully flexible fabric could reach; no

@@ -88,6 +88,24 @@ TEST(Converter, InvalidParamsThrow) {
   p.min_input_v = 10.0;
   p.max_input_v = 5.0;
   EXPECT_THROW(Converter{p}, std::invalid_argument);
+  // A negative fixed loss would push eta above eta_peak (at 1 W in,
+  // -0.3 W of loss gives 0.965 / 0.7 = 1.38).
+  p = ConverterParams{};
+  p.fixed_loss_w = -0.3;
+  EXPECT_THROW(Converter{p}, std::invalid_argument);
+  p = ConverterParams{};
+  p.voltage_penalty = -0.01;
+  EXPECT_THROW(Converter{p}, std::invalid_argument);
+  for (const double cap : {0.0, -5.0}) {
+    p = ConverterParams{};
+    p.max_input_power_w = cap;
+    EXPECT_THROW(Converter{p}, std::invalid_argument) << cap;
+  }
+  // Zero penalty and zero fixed loss are the ideal charger, not errors.
+  p = ConverterParams{};
+  p.voltage_penalty = 0.0;
+  p.fixed_loss_w = 0.0;
+  EXPECT_NO_THROW(Converter{p});
 }
 
 TEST(Converter, GroupRangeBracketsOutputVoltage) {

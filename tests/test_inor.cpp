@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "core/objective.hpp"
 #include "oracle/exhaustive.hpp"
+#include "teg/array_evaluator.hpp"
 #include "util/rng.hpp"
 
 namespace tegrec::core {
@@ -149,6 +155,65 @@ TEST(InorSearch, BadWindowThrows) {
                std::invalid_argument);
   EXPECT_THROW(inor_search(array, conv, InorOptions{.nmin = 1, .nmax = 11}),
                std::invalid_argument);
+}
+
+/// The in-order Algorithm 1 scan inor_search must reproduce bit for bit:
+/// every window count's greedy partition scored in ascending order, the
+/// first strict maximum kept (the empty config when nothing scores above
+/// the -1 sentinel).
+teg::ArrayConfig in_order_scan(const teg::TegArray& array,
+                               const power::Converter& conv, std::size_t nmin,
+                               std::size_t nmax) {
+  const std::vector<double> impp = array.module_mpp_currents();
+  const teg::ArrayEvaluator evaluator(array);
+  double best = -1.0;
+  teg::ArrayConfig chosen;
+  for (std::size_t n = nmin; n <= nmax; ++n) {
+    teg::ArrayConfig candidate = inor_partition(impp, n);
+    const double p = config_power_w(evaluator, conv, candidate);
+    if (p > best) {
+      best = p;
+      chosen = std::move(candidate);
+    }
+  }
+  return chosen;
+}
+
+TEST(InorSearch, SkippingByScoreBoundMatchesInOrderScan) {
+  // inor_search scores the window from its middle and skips counts whose
+  // ScoreBound is below the best so far; the pick must still be the
+  // in-order scan's, under converters that widen or collapse the
+  // efficiency band and with fields that leave the bound unusable.
+  util::Rng rng(404);
+  std::vector<power::ConverterParams> convs(5, kConv);
+  convs[1].voltage_penalty = 0.0;
+  convs[2].fixed_loss_w = 0.0;
+  convs[3].max_input_power_w = 2.0;
+  convs[4].min_input_v = 12.5;
+  convs[4].max_input_v = 15.0;
+  for (unsigned trial = 0; trial < 24; ++trial) {
+    const std::size_t n = std::vector<std::size_t>{8, 50, 120, 400}[trial % 4];
+    std::vector<double> dts = decaying_delta_t(n, rng.uniform(20.0, 60.0),
+                                               rng.uniform(1.0, 8.0));
+    for (double& dt : dts) dt = std::max(0.0, dt + rng.uniform(-3.0, 3.0));
+    // A NaN module leaves no usable bound (and no derivable window).
+    const bool nan_field = trial % 8 == 7;
+    if (nan_field) dts[n / 2] = std::numeric_limits<double>::quiet_NaN();
+    const teg::TegArray array(kDev, dts);
+    const std::size_t explicit_max = std::min<std::size_t>(n, 40);
+    for (const power::ConverterParams& params : convs) {
+      const power::Converter conv(params);
+      const InorOptions wide{.nmin = 1, .nmax = explicit_max};
+      ASSERT_EQ(inor_search(array, conv, wide),
+                in_order_scan(array, conv, 1, explicit_max))
+          << "trial " << trial;
+      if (nan_field) continue;
+      const auto window = group_count_window(array, conv);
+      ASSERT_EQ(inor_search(array, conv),
+                in_order_scan(array, conv, window.nmin, window.nmax))
+          << "trial " << trial;
+    }
+  }
 }
 
 TEST(InorReconfigurer, HonoursPeriod) {

@@ -645,6 +645,22 @@ TEST(Spec, ParserRejectsGarbage) {
   EXPECT_EQ(sparse.kind, ExperimentKind::kSweep);
 }
 
+TEST(Spec, ParserRejectsInvalidConverterParams) {
+  // Values the Converter refuses are refused when the spec is parsed, not
+  // when a worker first builds a Converter from it.
+  for (const char* line : {"comparison.sim.converter.fixed_loss_w = -0.3\n",
+                           "comparison.sim.converter.voltage_penalty = -1\n",
+                           "comparison.sim.converter.max_input_power_w = 0\n",
+                           "comparison.sim.converter.eta_peak = 1.5\n"}) {
+    EXPECT_THROW(ExperimentSpec::from_text(line), std::invalid_argument)
+        << line;
+  }
+  const ExperimentSpec ideal = ExperimentSpec::from_text(
+      "comparison.sim.converter.fixed_loss_w = 0\n"
+      "comparison.sim.converter.voltage_penalty = 0\n");
+  EXPECT_EQ(ideal.comparison.sim.converter.fixed_loss_w, 0.0);
+}
+
 TEST(Spec, InlineTraceSourcesAreContentAddressed) {
   const thermal::TemperatureTrace trace =
       thermal::generate_trace(tiny_config());
