@@ -8,8 +8,8 @@
 #include "core/dnor.hpp"
 #include "core/inor.hpp"
 #include "core/prescient.hpp"
-#include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
+#include "sim/spec.hpp"
 #include "thermal/trace.hpp"
 #include "util/table.hpp"
 
@@ -36,14 +36,14 @@ int main() {
     std::printf("-- ablation 1: ambient temperature level --\n");
     util::TextTable table({"ambient (C)", "DNOR (J)", "Baseline (J)", "gain %"});
     for (double ambient : {5.0, 15.0, 25.0, 35.0}) {
-      thermal::TraceGeneratorConfig config = base_config();
-      config.ambient.base_c = ambient;
-      config.engine.ambient_c = ambient;
-      const auto trace = thermal::generate_trace(config);
-      sim::ComparisonOptions options;
-      options.include_inor = false;
-      options.include_ehtr = false;
-      const auto res = sim::run_standard_comparison(trace, options);
+      sim::ExperimentSpec spec;
+      spec.kind = sim::ExperimentKind::kComparison;
+      spec.trace.generator = base_config();
+      spec.trace.generator.ambient.base_c = ambient;
+      spec.trace.generator.engine.ambient_c = ambient;
+      spec.comparison.include_inor = false;
+      spec.comparison.include_ehtr = false;
+      const auto res = sim::run_experiment(spec).comparison;
       table.begin_row()
           .add(ambient, 0)
           .add(res.by_name("DNOR").energy_output_j, 1)

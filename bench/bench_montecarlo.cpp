@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 
-#include "sim/montecarlo.hpp"
 #include "sim/service.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -16,45 +15,45 @@ int main() {
 
   std::printf("=== Monte-Carlo: DNOR gain across synthetic drives ===\n\n");
 
-  sim::MonteCarloOptions options;
-  options.base_trace.layout.num_modules = 100;
+  sim::ExperimentSpec spec;
+  spec.kind = sim::ExperimentKind::kMonteCarlo;
+  spec.trace.generator.layout.num_modules = 100;
   // 200 s mixed slice per seed keeps the whole study under a minute.
-  options.base_trace.segments = {
+  spec.trace.generator.segments = {
       {thermal::DriveSegment::Kind::kUrban, 100.0, 32.0, 0.0},
       {thermal::DriveSegment::Kind::kCruise, 100.0, 70.0, 0.0}};
-  options.comparison.include_inor = false;
-  options.comparison.include_ehtr = false;
-  options.num_seeds = 10;
-  options.first_seed = 100;
+  spec.comparison.include_inor = false;
+  spec.comparison.include_ehtr = false;
+  spec.mc_num_seeds = 10;
+  spec.mc_first_seed = 100;
 
   // Time the serial engine against the multi-core one; the per-seed samples
-  // are guaranteed bit-identical, so only wall-clock should move.  The
-  // direct engine is timed on purpose: the public run_monte_carlo wrapper
-  // now serves identical studies from the ExperimentService result cache
-  // (thread counts share one cache entry), which is measured separately
-  // below.
-  options.num_threads = 1;
+  // are guaranteed bit-identical, so only wall-clock should move.  Both go
+  // through the uncached run_experiment path; a service would serve the
+  // second study from its cache (thread counts share one fingerprint),
+  // which is measured separately below.
+  spec.mc_num_threads = 1;
   const auto serial_start = Clock::now();
-  const sim::MonteCarloSummary summary =
-      sim::detail::run_monte_carlo_direct(options);
+  const sim::MonteCarloSummary summary = sim::run_experiment(spec).monte_carlo;
   const double serial_s =
       std::chrono::duration<double>(Clock::now() - serial_start).count();
 
-  options.num_threads = 0;  // one worker per hardware thread
+  spec.mc_num_threads = 0;  // one worker per hardware thread
   const auto parallel_start = Clock::now();
   const sim::MonteCarloSummary parallel_summary =
-      sim::detail::run_monte_carlo_direct(options);
+      sim::run_experiment(spec).monte_carlo;
   const double parallel_s =
       std::chrono::duration<double>(Clock::now() - parallel_start).count();
 
-  // The cached path: first submission executes, the resubmission is a
-  // content-addressed lookup.
+  // The cached path: the first submission to a fresh service executes, the
+  // resubmission is a content-addressed lookup.
+  sim::ExperimentService service;
   const auto miss_start = Clock::now();
-  sim::run_monte_carlo(options);
+  service.submit(spec).wait();
   const double miss_s =
       std::chrono::duration<double>(Clock::now() - miss_start).count();
   const auto hit_start = Clock::now();
-  sim::run_monte_carlo(options);
+  service.submit(spec).wait();
   const double hit_s =
       std::chrono::duration<double>(Clock::now() - hit_start).count();
 

@@ -1,15 +1,12 @@
 #include "sim/experiment.hpp"
 
 #include <limits>
-#include <memory>
 #include <stdexcept>
 
 #include "core/dnor.hpp"
 #include "core/ehtr.hpp"
 #include "core/fixed_baseline.hpp"
 #include "core/inor.hpp"
-#include "sim/service.hpp"
-#include "sim/spec.hpp"
 
 namespace tegrec::sim {
 
@@ -42,22 +39,6 @@ double ComparisonResult::runtime_speedup_ratio() const {
   return by_name("EHTR").avg_runtime_ms / dnor;
 }
 
-ComparisonResult run_standard_comparison(const thermal::TemperatureTrace& trace,
-                                         const ComparisonOptions& options) {
-  ExperimentSpec spec;
-  spec.kind = ExperimentKind::kComparison;
-  spec.trace.kind = TraceSource::Kind::kInline;
-  // Non-owning view of the caller's trace (a farm-scale trace is ~100 MB;
-  // copying it on every call would dwarf a cache hit).  Safe because this
-  // wrapper blocks in wait() until the job is terminal — the only reads of
-  // the spec's trace (fingerprinting here, execution on a worker) happen
-  // before wait() returns, and nothing reads a terminal job's spec.
-  spec.trace.inline_trace = std::shared_ptr<const thermal::TemperatureTrace>(
-      std::shared_ptr<const void>(), &trace);
-  spec.comparison = options;
-  return ExperimentService::shared().submit(spec).wait()->comparison;
-}
-
 namespace detail {
 
 ComparisonResult run_comparison_direct(const thermal::TemperatureTrace& trace,
@@ -88,7 +69,7 @@ ComparisonResult run_comparison_direct(const thermal::TemperatureTrace& trace,
     out.runs.push_back(run_simulation(baseline, trace, options.sim));
   }
   if (out.runs.empty()) {
-    throw std::invalid_argument("run_standard_comparison: no schemes selected");
+    throw std::invalid_argument("comparison: no schemes selected");
   }
   return out;
 }

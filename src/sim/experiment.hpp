@@ -4,7 +4,8 @@
 // EHTR and the fixed baseline over one trace with shared device/charger
 // parameters, and expose the comparison quantities (energy gain over
 // baseline, overhead and runtime ratios) that Table I and Figs. 6-7 are
-// built from.  Benches, examples and integration tests all share this.
+// built from.  Studies run as an ExperimentSpec through run_experiment or
+// ExperimentService::submit (sim/spec.hpp, sim/service.hpp).
 #pragma once
 
 #include <vector>
@@ -46,21 +47,12 @@ struct ComparisonResult {
   double runtime_speedup_ratio() const;
 };
 
-/// Runs the standard four-scheme comparison on a trace.
-///
-/// Thin blocking wrapper over the shared ExperimentService (sim/service.hpp):
-/// the trace is content-hashed into an ExperimentSpec, submitted, and waited
-/// on, so repeated calls with an identical (trace, options) pair are served
-/// from the result cache instead of re-simulating.  Results are bit-identical
-/// to detail::run_comparison_direct for any service worker count.
-ComparisonResult run_standard_comparison(const thermal::TemperatureTrace& trace,
-                                         const ComparisonOptions& options = {});
-
 namespace detail {
 
-/// The actual comparison engine, uncached and synchronous.  Service workers
-/// and the Monte-Carlo / sweep inner loops call this directly (an inner loop
-/// must never re-enter the service: its job already occupies a worker).
+/// The comparison engine behind run_experiment (sim/spec.hpp), uncached and
+/// synchronous.  The Monte-Carlo and sweep engines call it once per sample
+/// (an inner loop must never re-enter the service: its job already occupies
+/// a worker).
 ComparisonResult run_comparison_direct(const thermal::TemperatureTrace& trace,
                                        const ComparisonOptions& options);
 

@@ -3,23 +3,10 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/service.hpp"
 #include "sim/spec.hpp"
 #include "util/parallel.hpp"
 
 namespace tegrec::sim {
-
-MonteCarloSummary run_monte_carlo(const MonteCarloOptions& options) {
-  ExperimentSpec spec;
-  spec.kind = ExperimentKind::kMonteCarlo;
-  spec.trace.kind = TraceSource::Kind::kGenerated;
-  spec.trace.generator = options.base_trace;
-  spec.comparison = options.comparison;
-  spec.mc_num_seeds = options.num_seeds;
-  spec.mc_first_seed = options.first_seed;
-  spec.mc_num_threads = options.num_threads;
-  return ExperimentService::shared().submit(spec).wait()->monte_carlo;
-}
 
 namespace detail {
 
@@ -40,26 +27,31 @@ void fold_monte_carlo_stats(MonteCarloSummary& summary) {
   }
 }
 
-MonteCarloSummary run_monte_carlo_direct(const MonteCarloOptions& options) {
-  if (options.num_seeds == 0) {
-    throw std::invalid_argument("run_monte_carlo: zero seeds");
-  }
-  if (!options.comparison.include_dnor || !options.comparison.include_baseline) {
+MonteCarloSummary run_monte_carlo_direct(const ExperimentSpec& spec) {
+  if (spec.trace.kind != TraceSource::Kind::kGenerated) {
     throw std::invalid_argument(
-        "run_monte_carlo: DNOR and baseline must both be enabled");
+        "monte carlo: needs a generated trace source (the engine re-seeds it "
+        "per sample)");
+  }
+  if (spec.mc_num_seeds == 0) {
+    throw std::invalid_argument("monte carlo: zero seeds");
+  }
+  if (!spec.comparison.include_dnor || !spec.comparison.include_baseline) {
+    throw std::invalid_argument(
+        "monte carlo: DNOR and baseline must both be enabled");
   }
   MonteCarloSummary summary;
-  summary.samples.resize(options.num_seeds);
+  summary.samples.resize(spec.mc_num_seeds);
 
   // Each seed is an independent drive with its own RNG stream; sample k
   // writes only slot k, so any thread count produces the same samples.
   util::parallel_for(
-      options.num_seeds, options.num_threads, [&](std::size_t k) {
-        thermal::TraceGeneratorConfig config = options.base_trace;
-        config.seed = options.first_seed + k;
+      spec.mc_num_seeds, spec.mc_num_threads, [&](std::size_t k) {
+        thermal::TraceGeneratorConfig config = spec.trace.generator;
+        config.seed = spec.mc_first_seed + k;
         const thermal::TemperatureTrace trace = thermal::generate_trace(config);
         const ComparisonResult res =
-            run_comparison_direct(trace, options.comparison);
+            run_comparison_direct(trace, spec.comparison);
 
         MonteCarloSample& sample = summary.samples[k];
         sample.seed = config.seed;

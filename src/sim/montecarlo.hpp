@@ -9,23 +9,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/experiment.hpp"
-#include "thermal/trace.hpp"
 #include "util/stats.hpp"
 
 namespace tegrec::sim {
 
-struct MonteCarloOptions {
-  thermal::TraceGeneratorConfig base_trace;  ///< seed field is overwritten
-  ComparisonOptions comparison;
-  std::size_t num_seeds = 10;
-  std::uint64_t first_seed = 1;
-  /// Worker threads for the per-seed simulations: 0 = one per hardware
-  /// thread, 1 = serial.  Every seed owns a deterministic RNG stream and a
-  /// private output slot, and the summary statistics are folded in seed
-  /// order afterwards, so the result is bit-identical for any value.
-  std::size_t num_threads = 0;
-};
+struct ExperimentSpec;
 
 /// Per-seed record of the headline metrics.
 struct MonteCarloSample {
@@ -45,23 +33,18 @@ struct MonteCarloSummary {
   util::RunningStats dnor_switches;
 };
 
-/// Runs the comparison for seeds first_seed .. first_seed + num_seeds - 1,
-/// in parallel across `options.num_threads` workers (seeds are independent
-/// drives, so this is embarrassingly parallel and exactly reproducible).
-/// Requires DNOR and the baseline to be enabled in `comparison`.
-///
-/// Thin blocking wrapper over the shared ExperimentService: the options are
-/// packed into an ExperimentSpec and submitted, so an identical study (the
-/// base seed is immaterial and pinned; thread counts do not fragment the
-/// cache) is a lookup instead of a re-simulation.  Results are bit-identical
-/// to detail::run_monte_carlo_direct for any service worker count.
-MonteCarloSummary run_monte_carlo(const MonteCarloOptions& options);
-
 namespace detail {
 
-/// The actual Monte-Carlo engine, uncached and synchronous (service workers
-/// call this; per-seed inner comparisons use run_comparison_direct).
-MonteCarloSummary run_monte_carlo_direct(const MonteCarloOptions& options);
+/// The Monte-Carlo engine behind run_experiment for a kMonteCarlo spec,
+/// uncached and synchronous.  Runs the comparison for seeds
+/// spec.mc_first_seed .. + spec.mc_num_seeds - 1 of the spec's generated
+/// trace config, across spec.mc_num_threads workers (0 = one per hardware
+/// thread, 1 = serial).  Every seed owns a deterministic RNG stream and a
+/// private output slot, and the statistics are folded in seed order
+/// afterwards, so the result is bit-identical for any thread count.
+/// Requires a generated source and DNOR plus the baseline in
+/// spec.comparison; per-seed comparisons use run_comparison_direct.
+MonteCarloSummary run_monte_carlo_direct(const ExperimentSpec& spec);
 
 /// Folds the summary statistics from `samples` in seed order — shared by
 /// the engine and the disk-cache loader so both produce identical stats.

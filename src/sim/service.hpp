@@ -6,9 +6,8 @@
 // status()/wait()/poll()/cancel().  Three properties make one service
 // safely shareable by many callers:
 //
-//  - Determinism: a job executes through the same direct engines the
-//    blocking API used, so results are bit-identical to the direct calls
-//    for any worker count.
+//  - Determinism: a job executes through run_experiment, so results are
+//    bit-identical to the direct call for any worker count.
 //  - Coalescing: jobs that share a spec fingerprint while one is queued or
 //    running attach to that execution instead of enqueueing a duplicate.
 //  - Content-addressed caching: completed results are stored in an
@@ -17,9 +16,9 @@
 //    a lookup.  Cache hits additionally compare the spec's fingerprint
 //    text, so a hash collision degrades to a miss, never a wrong result.
 //
-// The blocking entry points (run_standard_comparison, run_monte_carlo,
-// sweep_parameter) are thin submit-and-wait wrappers over shared(), so
-// every existing caller inherits the cache for free.
+// A service is an ordinary object: the caller constructs one with the
+// worker count and caches it wants, submits to it, and owns its lifetime.
+// run_experiment (sim/spec.hpp) is the uncached synchronous path.
 #pragma once
 
 #include <cstddef>
@@ -89,7 +88,7 @@ class JobHandle {
   /// True once the job completed without executing (memory or disk hit).
   bool from_cache() const;
 
-  /// Spec fingerprint ("uncached-<id>" for jobs with an opaque mutator).
+  /// Spec fingerprint (the cache and coalescing key).
   const std::string& fingerprint() const;
 
   /// Service-unique job id; coalesced handles share it.
@@ -122,11 +121,6 @@ class ExperimentService {
   /// CSV trace source cannot be read (fingerprinting hashes the file).
   JobHandle submit(const ExperimentSpec& spec);
 
-  /// Sweep variant carrying an opaque config mutator (the blocking
-  /// sweep_parameter path).  Such jobs have no content address: they queue
-  /// and run normally but are never cached or coalesced.
-  JobHandle submit(const ExperimentSpec& spec, ConfigMutator mutator);
-
   // Counters (monotonic; for tests and operational introspection).
   std::size_t executions() const;   ///< jobs that actually simulated
   std::size_t cache_hits() const;   ///< memory + disk hits
@@ -139,16 +133,7 @@ class ExperimentService {
   /// cache_dir is empty).  Exposed for eviction/degradation introspection.
   const ArtifactStore& artifact_store() const;
 
-  /// Process-wide service the blocking wrappers submit to: hardware-sized
-  /// worker pool, in-memory cache, plus a disk cache when the
-  /// TEGREC_CACHE_DIR environment variable names a directory
-  /// (TEGREC_CACHE_MAX_BYTES caps its size, TEGREC_CACHE_ENTRIES the
-  /// in-memory LRU).
-  static ExperimentService& shared();
-
  private:
-  JobHandle submit_impl(const ExperimentSpec& spec,
-                        const ConfigMutator* mutator);
   void run_job(const std::shared_ptr<detail::Job>& job);
   void complete_job(const std::shared_ptr<detail::Job>& job,
                     std::shared_ptr<const ExperimentResult> result,

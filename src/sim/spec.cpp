@@ -665,55 +665,22 @@ std::shared_ptr<const thermal::TemperatureTrace> materialize_trace(
   throw std::logic_error("materialize_trace: bad source kind");
 }
 
-namespace detail {
-
-ExperimentResult run_experiment_impl(const ExperimentSpec& spec,
-                                     const ConfigMutator* mutator_override) {
+ExperimentResult run_experiment(const ExperimentSpec& spec) {
   ExperimentResult out;
   out.kind = spec.kind;
   switch (spec.kind) {
-    case ExperimentKind::kComparison: {
-      const auto trace = materialize_trace(spec.trace);
-      out.comparison = detail::run_comparison_direct(*trace, spec.comparison);
+    case ExperimentKind::kComparison:
+      out.comparison = detail::run_comparison_direct(
+          *materialize_trace(spec.trace), spec.comparison);
       break;
-    }
-    case ExperimentKind::kMonteCarlo: {
-      if (spec.trace.kind != TraceSource::Kind::kGenerated) {
-        throw std::invalid_argument(
-            "run_experiment: a Monte-Carlo study needs a generated trace "
-            "source (the engine re-seeds it per sample)");
-      }
-      MonteCarloOptions options;
-      options.base_trace = spec.trace.generator;
-      options.comparison = spec.comparison;
-      options.num_seeds = spec.mc_num_seeds;
-      options.first_seed = spec.mc_first_seed;
-      options.num_threads = spec.mc_num_threads;
-      out.monte_carlo = detail::run_monte_carlo_direct(options);
+    case ExperimentKind::kMonteCarlo:
+      out.monte_carlo = detail::run_monte_carlo_direct(spec);
       break;
-    }
-    case ExperimentKind::kSweep: {
-      if (spec.trace.kind != TraceSource::Kind::kGenerated) {
-        throw std::invalid_argument(
-            "run_experiment: a sweep needs a generated trace source (the "
-            "swept parameter mutates the generator config)");
-      }
-      const ConfigMutator mutate = mutator_override
-                                       ? *mutator_override
-                                       : sweep_mutator(spec.sweep_parameter_name);
-      out.sweep = detail::sweep_direct(spec.trace.generator, spec.sweep_values,
-                                       mutate, spec.comparison,
-                                       spec.sweep_num_threads);
+    case ExperimentKind::kSweep:
+      out.sweep = detail::sweep_direct(spec);
       break;
-    }
   }
   return out;
-}
-
-}  // namespace detail
-
-ExperimentResult run_experiment(const ExperimentSpec& spec) {
-  return detail::run_experiment_impl(spec, nullptr);
 }
 
 }  // namespace tegrec::sim

@@ -70,8 +70,8 @@ struct TraceSource {
   std::string csv_path;                     ///< kCsvFile only
   double csv_dt_s = 0.0;  ///< optional explicit dt for load_csv (0 = derive)
   /// kInline only.  Serialises as its content hash, so specs built around
-  /// an existing trace (the blocking-wrapper path) still coalesce and
-  /// cache; from_text() rejects it because the samples are not in the text.
+  /// an in-memory trace still coalesce and cache; from_text() rejects it
+  /// because the samples are not in the text.
   std::shared_ptr<const thermal::TemperatureTrace> inline_trace;
 };
 
@@ -151,17 +151,5 @@ std::shared_ptr<const thermal::TemperatureTrace> materialize_trace(
 /// Executes a spec synchronously on the calling thread — the direct,
 /// uncached reference path the service's results are bit-identical to.
 ExperimentResult run_experiment(const ExperimentSpec& spec);
-
-namespace detail {
-
-/// run_experiment with an optional override for the sweep mutator: the
-/// blocking sweep_parameter wrapper carries its caller's opaque lambda
-/// through the service this way (such jobs are never cached, because an
-/// arbitrary std::function has no content address).  Service workers call
-/// this; everyone else wants run_experiment.
-ExperimentResult run_experiment_impl(const ExperimentSpec& spec,
-                                     const ConfigMutator* mutator_override);
-
-}  // namespace detail
 
 }  // namespace tegrec::sim

@@ -4,7 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "sim/service.hpp"
 #include "sim/spec.hpp"
 #include "util/parallel.hpp"
 
@@ -70,21 +69,6 @@ std::vector<std::string> sweep_parameter_names() {
   return names;  // std::map iterates sorted
 }
 
-std::vector<SweepPoint> sweep_parameter(
-    const thermal::TraceGeneratorConfig& base, const std::vector<double>& values,
-    const ConfigMutator& mutate, const ComparisonOptions& comparison,
-    std::size_t num_threads) {
-  ExperimentSpec spec;
-  spec.kind = ExperimentKind::kSweep;
-  spec.trace.kind = TraceSource::Kind::kGenerated;
-  spec.trace.generator = base;
-  spec.comparison = comparison;
-  spec.sweep_parameter_name = "<custom>";  // opaque mutator: uncacheable
-  spec.sweep_values = values;
-  spec.sweep_num_threads = num_threads;
-  return ExperimentService::shared().submit(spec, mutate).wait()->sweep;
-}
-
 util::CsvTable sweep_to_csv(const std::string& value_name,
                             const std::vector<SweepPoint>& points) {
   util::CsvTable table;
@@ -99,20 +83,23 @@ util::CsvTable sweep_to_csv(const std::string& value_name,
 
 namespace detail {
 
-std::vector<SweepPoint> sweep_direct(const thermal::TraceGeneratorConfig& base,
-                                     const std::vector<double>& values,
-                                     const ConfigMutator& mutate,
-                                     const ComparisonOptions& comparison,
-                                     std::size_t num_threads) {
-  if (values.empty()) throw std::invalid_argument("sweep_parameter: no values");
-  if (!mutate) throw std::invalid_argument("sweep_parameter: null mutator");
+std::vector<SweepPoint> sweep_direct(const ExperimentSpec& spec) {
+  if (spec.trace.kind != TraceSource::Kind::kGenerated) {
+    throw std::invalid_argument(
+        "sweep: needs a generated trace source (the swept parameter mutates "
+        "the generator config)");
+  }
+  const ConfigMutator mutate = sweep_mutator(spec.sweep_parameter_name);
+  const std::vector<double>& values = spec.sweep_values;
+  const ComparisonOptions& comparison = spec.comparison;
+  if (values.empty()) throw std::invalid_argument("sweep: no values");
   if (!comparison.include_dnor || !comparison.include_baseline) {
     throw std::invalid_argument(
-        "sweep_parameter: DNOR and baseline must both be enabled");
+        "sweep: DNOR and baseline must both be enabled");
   }
   std::vector<SweepPoint> out(values.size());
-  util::parallel_for(values.size(), num_threads, [&](std::size_t i) {
-    thermal::TraceGeneratorConfig config = base;
+  util::parallel_for(values.size(), spec.sweep_num_threads, [&](std::size_t i) {
+    thermal::TraceGeneratorConfig config = spec.trace.generator;
     mutate(config, values[i]);
     const thermal::TemperatureTrace trace = thermal::generate_trace(config);
     const ComparisonResult res = run_comparison_direct(trace, comparison);

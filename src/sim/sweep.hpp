@@ -2,21 +2,21 @@
 //
 // Answers "how does the reconfiguration gain move with X?" for any scalar
 // X of the trace-generator configuration (surface coupling, heat-transfer
-// coefficient, module count, ambient...).  The caller supplies a mutator
-// that applies the swept value to a config; the sweep returns one point
-// per value with the headline quantities, ready for CSV/plotting.
+// coefficient, module count, ambient...).  A kSweep ExperimentSpec names a
+// registered parameter (sweep_mutator) and its values; the sweep returns
+// one point per value with the headline quantities, ready for CSV/plotting.
 #pragma once
 
-#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "sim/experiment.hpp"
 #include "thermal/trace.hpp"
 #include "util/csv.hpp"
 
 namespace tegrec::sim {
+
+struct ExperimentSpec;
 
 struct SweepPoint {
   double value = 0.0;
@@ -28,22 +28,6 @@ struct SweepPoint {
 
 using ConfigMutator =
     std::function<void(thermal::TraceGeneratorConfig&, double value)>;
-
-/// Runs the DNOR-vs-baseline comparison for every value in `values`,
-/// applying `mutate(config, value)` to a copy of `base` each time.  Points
-/// are independent simulations evaluated across `num_threads` workers
-/// (0 = one per hardware thread, 1 = serial); each point writes only its
-/// own output slot, so the result is bit-identical for any thread count.
-/// The mutator may be called concurrently and must not touch shared state.
-///
-/// Thin blocking wrapper over the shared ExperimentService.  An opaque
-/// mutator has no content address, so these jobs queue but are never cached
-/// or coalesced; use a registered parameter name (sweep_mutator / an
-/// ExperimentSpec with sweep.parameter) to get caching.
-std::vector<SweepPoint> sweep_parameter(
-    const thermal::TraceGeneratorConfig& base, const std::vector<double>& values,
-    const ConfigMutator& mutate, const ComparisonOptions& comparison = {},
-    std::size_t num_threads = 0);
 
 /// Looks up a registered, content-addressable sweep parameter by name — the
 /// vocabulary ExperimentSpec sweep files use (`sweep.parameter = <name>`).
@@ -60,13 +44,16 @@ util::CsvTable sweep_to_csv(const std::string& value_name,
 
 namespace detail {
 
-/// The actual sweep engine, uncached and synchronous (service workers call
-/// this; per-point comparisons use run_comparison_direct).
-std::vector<SweepPoint> sweep_direct(const thermal::TraceGeneratorConfig& base,
-                                     const std::vector<double>& values,
-                                     const ConfigMutator& mutate,
-                                     const ComparisonOptions& comparison,
-                                     std::size_t num_threads);
+/// The sweep engine behind run_experiment for a kSweep spec, uncached and
+/// synchronous.  Runs the DNOR-vs-baseline comparison for every value in
+/// spec.sweep_values, applying the registered spec.sweep_parameter_name
+/// mutator to a copy of the spec's generated trace config each time.
+/// Points are independent simulations evaluated across
+/// spec.sweep_num_threads workers (0 = one per hardware thread, 1 =
+/// serial); each point writes only its own output slot, so the result is
+/// bit-identical for any thread count.  Per-point comparisons use
+/// run_comparison_direct.
+std::vector<SweepPoint> sweep_direct(const ExperimentSpec& spec);
 
 }  // namespace detail
 

@@ -9,8 +9,8 @@
 // generator config, `tegrec_cli simulate|trace|montecarlo --scenario`
 // resolves them, and bench_scenarios runs the comparison table across the
 // entire catalog.  Because a scenario spec is content-addressed like any
-// other, every named workload is cacheable, sweepable and batch-runnable
-// for free.
+// other, every named workload can be cached, swept and batch-run for
+// free.
 //
 // Editing a scenario's definition changes the canonical text of every spec
 // built from it, so stale cached results miss instead of lying.

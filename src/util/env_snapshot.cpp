@@ -11,17 +11,14 @@ namespace {
 /// Every environment variable the process reads.  Closed list: a raw
 /// getenv anywhere else has no excuse to exist.
 constexpr const char* kKnownVariables[] = {
-    "TEGREC_CACHE_DIR",        // ExperimentService::shared() disk cache dir
-    "TEGREC_CACHE_ENTRIES",    // in-memory LRU capacity override
-    "TEGREC_CACHE_MAX_BYTES",  // on-disk cache byte cap
-    "TEGREC_FAULTS",           // process-wide fault-injection plan
+    "TEGREC_FAULTS",  // process-wide fault-injection plan
 };
 
 const std::map<std::string, std::string>& snapshot() {
   // The one getenv site in the repo.  It runs once, under this
-  // static-local initialisation guard, and every consumer (service
-  // shared(), process_faults()) calls through here before spawning any
-  // thread — so the read can never race a setenv from another thread.
+  // static-local initialisation guard, and its consumer
+  // (process_faults()) calls through here before spawning any thread —
+  // so the read can never race a setenv from another thread.
   static const std::map<std::string, std::string> values = [] {
     std::map<std::string, std::string> snap;
     for (const char* name : kKnownVariables) {

@@ -10,8 +10,12 @@ double Rng::uniform(double lo, double hi) {
 }
 
 double Rng::gaussian(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  // std::normal_distribution requires stddev > 0, and noise-free configs
+  // pass 0.  Scaling a unit draw is the expression libstdc++ evaluates for
+  // (mean, stddev) itself, so the engine consumes the same draws and every
+  // value is bit-identical to the parameterised distribution's.
+  std::normal_distribution<double> unit(0.0, 1.0);
+  return unit(engine_) * stddev + mean;
 }
 
 int Rng::uniform_int(int lo, int hi) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace tegrec::power {
 namespace {
 
@@ -138,6 +140,12 @@ TEST(Converter, GroupRangeDegenerateInputs) {
   const auto r2 = conv.efficient_group_range(1.0, 0);
   EXPECT_EQ(r2.nmin, 1u);
   EXPECT_EQ(r2.nmax, 1u);
+  // A NaN module temperature yields a NaN group voltage; it must not reach
+  // the size_t cast (undefined; 2^63 on x86-64).
+  const auto r3 =
+      conv.efficient_group_range(std::numeric_limits<double>::quiet_NaN(), 100);
+  EXPECT_EQ(r3.nmin, 1u);
+  EXPECT_EQ(r3.nmax, 1u);
 }
 
 // The converter-aware group window shrinks as modules get hotter (higher

@@ -3,14 +3,12 @@
 // paths not exercised by the main suites.
 #include <gtest/gtest.h>
 
-#include "core/bank.hpp"
 #include "core/dnor.hpp"
 #include "core/objective.hpp"
 #include "core/prescient.hpp"
 #include "predict/evaluate.hpp"
 #include "predict/holt.hpp"
 #include "sim/simulator.hpp"
-#include "teg/string_bank.hpp"
 #include "thermal/trace.hpp"
 
 namespace tegrec {
@@ -48,27 +46,6 @@ TEST(EdgeCases, PrescientTruncatesLookaheadAtTraceEnd) {
     EXPECT_NO_THROW(oracle.update(0.5 * static_cast<double>(t),
                                   trace.step_delta_t(t), trace.ambient_c(t)));
   }
-}
-
-TEST(EdgeCases, SingleModulePerGroupBankRow) {
-  // A bank whose rows are full-series strings (every group a singleton).
-  std::vector<double> dts{30.0, 25.0, 20.0, 15.0};
-  const teg::TegArray array(kDev, dts);
-  const teg::SeriesString full_series =
-      array.build_string(teg::ArrayConfig::all_series(4));
-  const teg::StringBank bank({full_series, full_series});
-  EXPECT_NEAR(bank.mpp_power_w(), 2.0 * full_series.mpp_power_w(), 1e-9);
-}
-
-TEST(EdgeCases, BankSearchSingleRowMatchesInor) {
-  // With one row the bank search must reduce exactly to 1-D INOR.
-  std::vector<double> dts(20);
-  for (std::size_t i = 0; i < 20; ++i) dts[i] = 34.0 - 1.3 * i;
-  const std::vector<teg::TegArray> rows{teg::TegArray(kDev, dts)};
-  const power::Converter conv(kConv);
-  const auto bank = core::bank_search(rows, conv);
-  const teg::ArrayConfig direct = core::inor_search(rows[0], conv);
-  EXPECT_EQ(bank.row_configs[0], direct);
 }
 
 TEST(EdgeCases, ModuleAtMaxValidDeltaT) {

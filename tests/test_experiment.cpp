@@ -2,19 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/spec.hpp"
+
 namespace tegrec::sim {
 namespace {
 
-thermal::TemperatureTrace short_trace() {
+thermal::TraceGeneratorConfig short_config() {
   thermal::TraceGeneratorConfig config;
   config.layout.num_modules = 16;
   config.segments = {{thermal::DriveSegment::Kind::kUrban, 40.0, 30.0, 0.0}};
   config.seed = 13;
-  return thermal::generate_trace(config);
+  return config;
+}
+
+ComparisonResult compare(const ComparisonOptions& options = {}) {
+  ExperimentSpec spec;
+  spec.kind = ExperimentKind::kComparison;
+  spec.trace.generator = short_config();
+  spec.comparison = options;
+  return run_experiment(spec).comparison;
 }
 
 TEST(Experiment, RunsAllFourSchemesInOrder) {
-  const ComparisonResult res = run_standard_comparison(short_trace());
+  const ComparisonResult res = compare();
   ASSERT_EQ(res.runs.size(), 4u);
   EXPECT_EQ(res.runs[0].algorithm, "DNOR");
   EXPECT_EQ(res.runs[1].algorithm, "INOR");
@@ -23,13 +33,13 @@ TEST(Experiment, RunsAllFourSchemesInOrder) {
 }
 
 TEST(Experiment, ByNameLookup) {
-  const ComparisonResult res = run_standard_comparison(short_trace());
+  const ComparisonResult res = compare();
   EXPECT_EQ(res.by_name("EHTR").algorithm, "EHTR");
   EXPECT_THROW(res.by_name("nope"), std::out_of_range);
 }
 
 TEST(Experiment, HeadlineMetricsPositive) {
-  const ComparisonResult res = run_standard_comparison(short_trace());
+  const ComparisonResult res = compare();
   EXPECT_GT(res.dnor_gain_over_baseline(), 0.0);
   EXPECT_GT(res.overhead_reduction_ratio(), 1.0);
   EXPECT_GT(res.runtime_speedup_ratio(), 1.0);
@@ -39,7 +49,7 @@ TEST(Experiment, SubsetSelection) {
   ComparisonOptions options;
   options.include_ehtr = false;  // the expensive one
   options.include_dnor = false;
-  const ComparisonResult res = run_standard_comparison(short_trace(), options);
+  const ComparisonResult res = compare(options);
   ASSERT_EQ(res.runs.size(), 2u);
   EXPECT_EQ(res.runs[0].algorithm, "INOR");
   EXPECT_EQ(res.runs[1].algorithm, "Baseline");
@@ -52,7 +62,7 @@ TEST(Experiment, NoSchemesThrows) {
   options.include_inor = false;
   options.include_ehtr = false;
   options.include_baseline = false;
-  EXPECT_THROW(run_standard_comparison(short_trace(), options),
+  EXPECT_THROW(compare(options),
                std::invalid_argument);
 }
 
@@ -62,8 +72,8 @@ TEST(Experiment, ControlPeriodPropagates) {
   slow.include_ehtr = false;
   slow.include_baseline = false;
   slow.control_period_s = 2.0;
-  const auto trace = short_trace();
-  const ComparisonResult res = run_standard_comparison(trace, slow);
+  const auto trace = thermal::generate_trace(short_config());
+  const ComparisonResult res = compare(slow);
   // 40 s at a 2 s period: ~20 invocations instead of 80.
   EXPECT_NEAR(static_cast<double>(res.runs[0].num_invocations),
               trace.duration_s() / 2.0, 2.0);
@@ -73,8 +83,7 @@ TEST(Experiment, SimOptionsRespected) {
   ComparisonOptions no_overhead;
   no_overhead.sim.charge_overhead = false;
   no_overhead.include_ehtr = false;
-  const ComparisonResult res =
-      run_standard_comparison(short_trace(), no_overhead);
+  const ComparisonResult res = compare(no_overhead);
   for (const auto& r : res.runs) {
     EXPECT_DOUBLE_EQ(r.switch_overhead_j, 0.0) << r.algorithm;
   }

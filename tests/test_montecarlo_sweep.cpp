@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "sim/montecarlo.hpp"
+#include "sim/spec.hpp"
 #include "sim/sweep.hpp"
 
 namespace tegrec::sim {
@@ -24,13 +25,30 @@ ComparisonOptions fast_comparison() {
   return options;
 }
 
+ExperimentSpec montecarlo_spec(std::size_t num_seeds) {
+  ExperimentSpec spec;
+  spec.kind = ExperimentKind::kMonteCarlo;
+  spec.trace.generator = tiny_config();
+  spec.comparison = fast_comparison();
+  spec.mc_num_seeds = num_seeds;
+  return spec;
+}
+
+ExperimentSpec sweep_spec(const std::string& parameter,
+                          const std::vector<double>& values) {
+  ExperimentSpec spec;
+  spec.kind = ExperimentKind::kSweep;
+  spec.trace.generator = tiny_config();
+  spec.comparison = fast_comparison();
+  spec.sweep_parameter_name = parameter;
+  spec.sweep_values = values;
+  return spec;
+}
+
 TEST(MonteCarlo, AggregatesAcrossSeeds) {
-  MonteCarloOptions options;
-  options.base_trace = tiny_config();
-  options.comparison = fast_comparison();
-  options.num_seeds = 4;
-  options.first_seed = 10;
-  const MonteCarloSummary summary = run_monte_carlo(options);
+  ExperimentSpec spec = montecarlo_spec(4);
+  spec.mc_first_seed = 10;
+  const MonteCarloSummary summary = run_experiment(spec).monte_carlo;
   ASSERT_EQ(summary.samples.size(), 4u);
   EXPECT_EQ(summary.samples.front().seed, 10u);
   EXPECT_EQ(summary.samples.back().seed, 13u);
@@ -59,32 +77,24 @@ TEST(MonteCarlo, NanGainSampleLeftOutOfAggregate) {
 }
 
 TEST(MonteCarlo, DistinctSeedsGiveDistinctSamples) {
-  MonteCarloOptions options;
-  options.base_trace = tiny_config();
-  options.comparison = fast_comparison();
-  options.num_seeds = 3;
-  const MonteCarloSummary summary = run_monte_carlo(options);
+  const MonteCarloSummary summary =
+      run_experiment(montecarlo_spec(3)).monte_carlo;
   EXPECT_NE(summary.samples[0].dnor_energy_j, summary.samples[1].dnor_energy_j);
   EXPECT_GT(summary.dnor_energy_j.stddev(), 0.0);
 }
 
 TEST(MonteCarlo, Validation) {
-  MonteCarloOptions options;
-  options.base_trace = tiny_config();
-  options.num_seeds = 0;
-  EXPECT_THROW(run_monte_carlo(options), std::invalid_argument);
-  options.num_seeds = 2;
-  options.comparison.include_baseline = false;
-  EXPECT_THROW(run_monte_carlo(options), std::invalid_argument);
+  ExperimentSpec spec = montecarlo_spec(0);
+  spec.comparison = ComparisonOptions();
+  EXPECT_THROW(run_experiment(spec), std::invalid_argument);
+  spec.mc_num_seeds = 2;
+  spec.comparison.include_baseline = false;
+  EXPECT_THROW(run_experiment(spec), std::invalid_argument);
 }
 
 TEST(Sweep, CouplingSweepMonotoneEnergy) {
-  const auto points = sweep_parameter(
-      tiny_config(), {0.55, 0.7, 0.85},
-      [](thermal::TraceGeneratorConfig& config, double value) {
-        config.layout.surface_coupling = value;
-      },
-      fast_comparison());
+  const auto points =
+      run_experiment(sweep_spec("surface_coupling", {0.55, 0.7, 0.85})).sweep;
   ASSERT_EQ(points.size(), 3u);
   // Better thermal coupling -> more dT -> more energy for both schemes.
   EXPECT_LT(points[0].dnor_energy_j, points[1].dnor_energy_j);
@@ -96,27 +106,17 @@ TEST(Sweep, CouplingSweepMonotoneEnergy) {
 }
 
 TEST(Sweep, Validation) {
-  EXPECT_THROW(
-      sweep_parameter(tiny_config(), {},
-                      [](thermal::TraceGeneratorConfig&, double) {}),
-      std::invalid_argument);
-  EXPECT_THROW(sweep_parameter(tiny_config(), {1.0}, nullptr),
+  EXPECT_THROW(run_experiment(sweep_spec("surface_coupling", {})),
                std::invalid_argument);
-  ComparisonOptions no_base = fast_comparison();
-  no_base.include_baseline = false;
-  EXPECT_THROW(
-      sweep_parameter(tiny_config(), {1.0},
-                      [](thermal::TraceGeneratorConfig&, double) {}, no_base),
-      std::invalid_argument);
+  EXPECT_THROW(run_experiment(sweep_spec("", {1.0})), std::invalid_argument);
+  ExperimentSpec no_base = sweep_spec("surface_coupling", {1.0});
+  no_base.comparison.include_baseline = false;
+  EXPECT_THROW(run_experiment(no_base), std::invalid_argument);
 }
 
 TEST(Sweep, CsvExport) {
-  const auto points = sweep_parameter(
-      tiny_config(), {0.5, 0.7},
-      [](thermal::TraceGeneratorConfig& config, double value) {
-        config.layout.surface_coupling = value;
-      },
-      fast_comparison());
+  const auto points =
+      run_experiment(sweep_spec("surface_coupling", {0.5, 0.7})).sweep;
   const util::CsvTable table = sweep_to_csv("coupling", points);
   EXPECT_EQ(table.header.front(), "coupling");
   ASSERT_EQ(table.num_rows(), 2u);

@@ -4,8 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/montecarlo.hpp"
-#include "sim/sweep.hpp"
+#include "sim/spec.hpp"
 #include "util/parallel.hpp"
 
 namespace tegrec {
@@ -86,32 +85,30 @@ TEST(ThreadPool, AtLeastOneWorker) {
 
 // ------------------------------------------------- engine determinism
 
-sim::MonteCarloOptions tiny_mc_options() {
-  sim::MonteCarloOptions options;
+sim::ExperimentSpec tiny_mc_spec() {
+  sim::ExperimentSpec spec;
+  spec.kind = sim::ExperimentKind::kMonteCarlo;
   // 24 modules / one short urban slice: small enough for test speed, large
   // enough that the square-grid baseline clears the converter input floor.
-  options.base_trace.layout.num_modules = 24;
-  options.base_trace.segments = {
+  spec.trace.generator.layout.num_modules = 24;
+  spec.trace.generator.segments = {
       {thermal::DriveSegment::Kind::kUrban, 25.0, 30.0, 0.0}};
-  options.comparison.include_inor = false;
-  options.comparison.include_ehtr = false;
-  options.num_seeds = 5;
-  options.first_seed = 42;
-  return options;
+  spec.comparison.include_inor = false;
+  spec.comparison.include_ehtr = false;
+  spec.mc_num_seeds = 5;
+  spec.mc_first_seed = 42;
+  return spec;
 }
 
 TEST(ParallelDeterminism, MonteCarloBitIdenticalAcrossThreadCounts) {
-  // The direct engine on purpose: the public run_monte_carlo wrapper now
-  // serves the second call from the ExperimentService result cache (thread
-  // counts share one fingerprint), which would turn this determinism check
-  // into comparing a result with itself.
-  sim::MonteCarloOptions options = tiny_mc_options();
-  options.num_threads = 1;
-  const sim::MonteCarloSummary serial =
-      sim::detail::run_monte_carlo_direct(options);
-  options.num_threads = 4;
-  const sim::MonteCarloSummary parallel =
-      sim::detail::run_monte_carlo_direct(options);
+  // run_experiment is the uncached path, so both calls really execute (a
+  // service would serve the second from its cache: thread counts share one
+  // fingerprint).
+  sim::ExperimentSpec spec = tiny_mc_spec();
+  spec.mc_num_threads = 1;
+  const sim::MonteCarloSummary serial = sim::run_experiment(spec).monte_carlo;
+  spec.mc_num_threads = 4;
+  const sim::MonteCarloSummary parallel = sim::run_experiment(spec).monte_carlo;
 
   ASSERT_EQ(serial.samples.size(), parallel.samples.size());
   for (std::size_t k = 0; k < serial.samples.size(); ++k) {
@@ -132,17 +129,15 @@ TEST(ParallelDeterminism, MonteCarloBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, SweepBitIdenticalAcrossThreadCounts) {
-  const sim::MonteCarloOptions base = tiny_mc_options();
-  const std::vector<double> values = {16, 20, 24, 28};
-  const sim::ConfigMutator mutate = [](thermal::TraceGeneratorConfig& config,
-                                       double value) {
-    config.layout.num_modules = static_cast<std::size_t>(value);
-  };
+  sim::ExperimentSpec spec = tiny_mc_spec();
+  spec.kind = sim::ExperimentKind::kSweep;
+  spec.sweep_parameter_name = "num_modules";
+  spec.sweep_values = {16, 20, 24, 28};
 
-  const std::vector<sim::SweepPoint> serial = sim::sweep_parameter(
-      base.base_trace, values, mutate, base.comparison, /*num_threads=*/1);
-  const std::vector<sim::SweepPoint> parallel = sim::sweep_parameter(
-      base.base_trace, values, mutate, base.comparison, /*num_threads=*/4);
+  spec.sweep_num_threads = 1;
+  const std::vector<sim::SweepPoint> serial = sim::run_experiment(spec).sweep;
+  spec.sweep_num_threads = 4;
+  const std::vector<sim::SweepPoint> parallel = sim::run_experiment(spec).sweep;
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -8,7 +8,7 @@
 #include "core/objective.hpp"
 #include "oracle/ehtr.hpp"
 #include "power/mppt.hpp"
-#include "sim/experiment.hpp"
+#include "sim/spec.hpp"
 #include "thermal/trace.hpp"
 #include "util/rng.hpp"
 
@@ -17,21 +17,28 @@ namespace {
 
 class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {
  protected:
-  thermal::TemperatureTrace make_trace() const {
+  thermal::TraceGeneratorConfig make_config() const {
     thermal::TraceGeneratorConfig config;
     config.layout.num_modules = 24;
     config.segments = {{thermal::DriveSegment::Kind::kUrban, 30.0, 30.0, 0.0},
                        {thermal::DriveSegment::Kind::kCruise, 30.0, 65.0, 0.0}};
     config.seed = GetParam();
-    return thermal::generate_trace(config);
+    return config;
+  }
+
+  sim::ComparisonResult compare(const sim::ComparisonOptions& options) const {
+    sim::ExperimentSpec spec;
+    spec.kind = sim::ExperimentKind::kComparison;
+    spec.trace.generator = make_config();
+    spec.comparison = options;
+    return sim::run_experiment(spec).comparison;
   }
 };
 
 TEST_P(SeedSweep, ReconfigurationAlwaysBeatsBaseline) {
   sim::ComparisonOptions options;
   options.include_ehtr = false;  // keep the sweep fast
-  const sim::ComparisonResult res =
-      sim::run_standard_comparison(make_trace(), options);
+  const sim::ComparisonResult res = compare(options);
   EXPECT_GT(res.dnor_gain_over_baseline(), 0.02)
       << "seed " << GetParam();
   EXPECT_GT(res.by_name("INOR").energy_output_j,
@@ -44,8 +51,7 @@ TEST_P(SeedSweep, EnergyConservationEveryStep) {
   options.include_inor = false;
   options.include_ehtr = false;
   options.include_baseline = false;
-  const sim::ComparisonResult res =
-      sim::run_standard_comparison(make_trace(), options);
+  const sim::ComparisonResult res = compare(options);
   for (const auto& s : res.by_name("DNOR").steps) {
     EXPECT_GE(s.net_power_w, 0.0);
     EXPECT_LE(s.net_power_w, s.gross_power_w + 1e-9);
@@ -58,8 +64,8 @@ TEST_P(SeedSweep, DnorSwitchesSparselyOnEveryDrive) {
   options.include_inor = false;
   options.include_ehtr = false;
   options.include_baseline = false;
-  const auto trace = make_trace();
-  const sim::ComparisonResult res = sim::run_standard_comparison(trace, options);
+  const auto trace = thermal::generate_trace(make_config());
+  const sim::ComparisonResult res = compare(options);
   EXPECT_LT(res.by_name("DNOR").num_switch_events, trace.num_steps() / 4)
       << "seed " << GetParam();
 }

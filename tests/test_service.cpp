@@ -9,12 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "sim/experiment.hpp"
-#include "sim/montecarlo.hpp"
 #include "sim/result_io.hpp"
 #include "sim/service.hpp"
 #include "sim/spec.hpp"
-#include "sim/sweep.hpp"
 #include "util/atomic_file.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
@@ -183,61 +180,22 @@ TEST(Service, ResultsMatchDirectAcrossWorkerCounts) {
   }
 }
 
-TEST(Service, BlockingWrappersMatchDirectEngines) {
-  // The public blocking API routes through the shared service; its results
-  // must be bit-identical to the direct engines it used to call.
-  const thermal::TemperatureTrace trace =
-      thermal::generate_trace(tiny_config());
-  ComparisonResult direct = detail::run_comparison_direct(trace,
-                                                          fast_comparison());
-  ComparisonResult wrapped = run_standard_comparison(trace, fast_comparison());
-  ASSERT_EQ(direct.runs.size(), wrapped.runs.size());
-  for (std::size_t i = 0; i < direct.runs.size(); ++i) {
-    expect_runs_equal(direct.runs[i], wrapped.runs[i],
-                      /*include_timing=*/false);
-  }
+TEST(Service, ValidationErrorsPropagateThroughSubmit) {
+  // A spec the engines reject fails its job; wait() rethrows the engine's
+  // exception to the submitter.
+  ExperimentService service((ServiceOptions()));
+  ExperimentSpec zero_seeds = montecarlo_spec(0);
+  EXPECT_THROW(service.submit(zero_seeds).wait(), std::invalid_argument);
 
-  MonteCarloOptions mc;
-  mc.base_trace = tiny_config();
-  mc.comparison = fast_comparison();
-  mc.num_seeds = 2;
-  const MonteCarloSummary direct_mc = detail::run_monte_carlo_direct(mc);
-  const MonteCarloSummary wrapped_mc = run_monte_carlo(mc);
-  ASSERT_EQ(direct_mc.samples.size(), wrapped_mc.samples.size());
-  for (std::size_t i = 0; i < direct_mc.samples.size(); ++i) {
-    EXPECT_EQ(direct_mc.samples[i].gain, wrapped_mc.samples[i].gain);
-    EXPECT_EQ(direct_mc.samples[i].dnor_energy_j,
-              wrapped_mc.samples[i].dnor_energy_j);
-  }
-
-  const auto mutate = [](thermal::TraceGeneratorConfig& config, double value) {
-    config.layout.surface_coupling = value;
-  };
-  const auto direct_sweep = detail::sweep_direct(
-      tiny_config(), {0.6, 0.8}, mutate, fast_comparison(), /*num_threads=*/1);
-  const auto wrapped_sweep =
-      sweep_parameter(tiny_config(), {0.6, 0.8}, mutate, fast_comparison());
-  ASSERT_EQ(direct_sweep.size(), wrapped_sweep.size());
-  for (std::size_t i = 0; i < direct_sweep.size(); ++i) {
-    EXPECT_EQ(direct_sweep[i].gain, wrapped_sweep[i].gain);
-    EXPECT_EQ(direct_sweep[i].dnor_energy_j, wrapped_sweep[i].dnor_energy_j);
-  }
-}
-
-TEST(Service, WrapperValidationErrorsPropagate) {
-  // The blocking wrappers must keep throwing the direct API's exceptions.
-  MonteCarloOptions mc;
-  mc.base_trace = tiny_config();
-  mc.num_seeds = 0;
-  EXPECT_THROW(run_monte_carlo(mc), std::invalid_argument);
-  EXPECT_THROW(sweep_parameter(tiny_config(), {1.0}, nullptr),
+  ExperimentSpec unknown_parameter = sweep_spec();
+  unknown_parameter.sweep_parameter_name = "warp_factor";
+  EXPECT_THROW(service.submit(unknown_parameter).wait(),
                std::invalid_argument);
-  ComparisonOptions none = fast_comparison();
-  none.include_dnor = false;
-  none.include_baseline = false;
-  const thermal::TemperatureTrace trace =
-      thermal::generate_trace(tiny_config());
-  EXPECT_THROW(run_standard_comparison(trace, none), std::invalid_argument);
+
+  ExperimentSpec no_schemes = comparison_spec();
+  no_schemes.comparison.include_dnor = false;
+  no_schemes.comparison.include_baseline = false;
+  EXPECT_THROW(service.submit(no_schemes).wait(), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- caching
