@@ -9,8 +9,8 @@
 
 #include "core/dnor.hpp"
 #include "core/inor.hpp"
+#include "oracle/persistence.hpp"
 #include "predict/bpnn.hpp"
-#include "predict/persistence.hpp"
 #include "predict/svr.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/trace.hpp"
@@ -83,7 +83,7 @@ int main() {
     {
       core::DnorReconfigurer dnor(
           kDev, kConv, core::DnorParams{},
-          std::make_unique<predict::PersistencePredictor>());
+          std::make_unique<oracle::PersistencePredictor>());
       report_run(table, "Persistence", sim::run_simulation(dnor, trace, options));
     }
     std::printf("%s\n", table.render().c_str());

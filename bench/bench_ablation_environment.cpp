@@ -7,7 +7,7 @@
 
 #include "core/dnor.hpp"
 #include "core/inor.hpp"
-#include "core/prescient.hpp"
+#include "oracle/prescient.hpp"
 #include "sim/simulator.hpp"
 #include "sim/spec.hpp"
 #include "thermal/trace.hpp"
@@ -85,12 +85,12 @@ int main() {
     const power::ConverterParams charger;
 
     core::DnorReconfigurer dnor(device, charger);
-    core::PrescientReconfigurer oracle(device, charger, trace);
+    oracle::PrescientReconfigurer prescient(device, charger, trace);
     core::InorReconfigurer inor(device, charger);
 
     util::TextTable table({"controller", "energy (J)", "overhead (J)", "switches"});
     for (auto* rec : std::initializer_list<core::Reconfigurer*>{
-             &oracle, &dnor, &inor}) {
+             &prescient, &dnor, &inor}) {
       const auto res = sim::run_simulation(*rec, trace);
       table.begin_row()
           .add(res.algorithm)

@@ -9,8 +9,8 @@
 
 #include "predict/bpnn.hpp"
 #include "predict/evaluate.hpp"
+#include "oracle/persistence.hpp"
 #include "predict/mlr.hpp"
-#include "predict/persistence.hpp"
 #include "predict/svr.hpp"
 #include "thermal/trace.hpp"
 #include "util/parallel.hpp"
@@ -37,7 +37,7 @@ int main() {
   svr_params.iterations = 120;
   svr_params.module_stride = 5;
   predict::SvrPredictor svr(svr_params);
-  predict::PersistencePredictor naive;
+  oracle::PersistencePredictor naive;
 
   // evaluate_online itself must stay sequential (each step refits on the
   // previous window), but the four predictors are independent: fan the

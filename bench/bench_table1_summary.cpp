@@ -18,6 +18,7 @@
 #include "core/ehtr.hpp"
 #include "core/fixed_baseline.hpp"
 #include "core/inor.hpp"
+#include "sim/experiment.hpp"
 #include "sim/results.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/trace.hpp"
@@ -40,7 +41,8 @@ int main() {
   core::FixedBaselineReconfigurer baseline =
       core::FixedBaselineReconfigurer::square_grid(trace.num_modules());
 
-  std::vector<sim::SimulationResult> runs;
+  sim::ComparisonResult comparison;
+  std::vector<sim::SimulationResult>& runs = comparison.runs;
   runs.push_back(sim::run_simulation(dnor, trace, options));
   runs.push_back(sim::run_simulation(inor, trace, options));
   runs.push_back(sim::run_simulation(ehtr, trace, options));
@@ -48,18 +50,12 @@ int main() {
 
   std::printf("%s\n", sim::render_table1(runs).c_str());
 
-  const double dnor_gain =
-      100.0 * (runs[0].energy_output_j / runs[3].energy_output_j - 1.0);
-  const double overhead_ratio =
-      runs[0].switch_overhead_j > 0.0
-          ? runs[2].switch_overhead_j / runs[0].switch_overhead_j
-          : 0.0;
-  const double runtime_ratio = runs[0].avg_runtime_ms > 0.0
-                                   ? runs[2].avg_runtime_ms / runs[0].avg_runtime_ms
-                                   : 0.0;
-  std::printf("DNOR vs baseline energy:   %+.1f%%  (paper: +29.1%%)\n", dnor_gain);
-  std::printf("EHTR/DNOR switch overhead: %.0fx   (paper: ~100x)\n", overhead_ratio);
-  std::printf("EHTR/DNOR average runtime: %.1fx   (paper: ~14x)\n", runtime_ratio);
+  std::printf("DNOR vs baseline energy:   %+.1f%%  (paper: +29.1%%)\n",
+              100.0 * comparison.dnor_gain_over_baseline());
+  std::printf("EHTR/DNOR switch overhead: %.0fx   (paper: ~100x)\n",
+              comparison.overhead_reduction_ratio());
+  std::printf("EHTR/DNOR average runtime: %.1fx   (paper: ~14x)\n",
+              comparison.runtime_speedup_ratio());
   std::printf("EHTR/INOR average runtime: %.1fx   (paper: ~9x)\n",
               runs[1].avg_runtime_ms > 0.0
                   ? runs[2].avg_runtime_ms / runs[1].avg_runtime_ms

@@ -1,4 +1,4 @@
-// Temperature-prediction playground: fit MLR / BPNN / SVR / persistence on
+// Temperature-prediction playground: fit MLR / BPNN / SVR on
 // a synthetic radiator trace and compare accuracy across forecast horizons.
 //
 // Mirrors Section IV of the paper; useful for picking the DNOR predictor
@@ -12,7 +12,6 @@
 #include "predict/bpnn.hpp"
 #include "predict/evaluate.hpp"
 #include "predict/mlr.hpp"
-#include "predict/persistence.hpp"
 #include "predict/svr.hpp"
 #include "thermal/trace.hpp"
 #include "util/parallel.hpp"
@@ -44,7 +43,6 @@ int main() {
     svr.iterations = 120;
     svr.module_stride = 5;
     out.push_back(std::make_unique<predict::SvrPredictor>(svr));
-    out.push_back(std::make_unique<predict::PersistencePredictor>());
     return out;
   };
 

@@ -37,7 +37,6 @@ struct AlgorithmCost {
   // threshold rule < window sweep < global DP.
   static AlgorithmCost baseline() { return {0.0}; }   ///< never computes
   static AlgorithmCost dnor() { return {1.0}; }       ///< threshold rule
-  static AlgorithmCost prescient() { return {1.0}; }  ///< oracle lookup
   static AlgorithmCost inor() { return {2.0}; }       ///< [nmin,nmax] sweep
   static AlgorithmCost ehtr() { return {4.0}; }       ///< global partition DP
 };

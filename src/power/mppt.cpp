@@ -18,12 +18,6 @@ OperatingPoint evaluate(double voc_v, double r_ohm, const Converter& converter,
   return pt;
 }
 
-OperatingPoint evaluate(const teg::SeriesString& string,
-                        const Converter& converter, double current_a) {
-  return evaluate(string.total_voc_v(), string.total_resistance_ohm(),
-                  converter, current_a);
-}
-
 }  // namespace
 
 OperatingPoint optimal_operating_point(const teg::SeriesString& string,
@@ -63,54 +57,6 @@ OperatingPoint optimal_operating_point(double voc_v, double r_ohm,
     }
   }
   return evaluate(voc_v, r_ohm, converter, 0.5 * (lo + hi));
-}
-
-OperatingPoint array_mpp_operating_point(const teg::SeriesString& string) {
-  OperatingPoint pt;
-  pt.current_a = string.mpp_current_a();
-  pt.voltage_v = string.mpp_voltage_v();
-  pt.array_power_w = string.mpp_power_w();
-  pt.output_power_w = pt.array_power_w;  // ideal charger
-  return pt;
-}
-
-PerturbObserveTracker::PerturbObserveTracker(double step_a) : step_a_(step_a) {
-  if (step_a <= 0.0) throw std::invalid_argument("PerturbObserveTracker: step <= 0");
-}
-
-void PerturbObserveTracker::reset(double current_a) {
-  current_a_ = std::max(0.0, current_a);
-  prev_power_w_ = 0.0;
-  direction_ = 1.0;
-  primed_ = false;
-}
-
-OperatingPoint PerturbObserveTracker::step(const teg::SeriesString& string,
-                                           const Converter& converter) {
-  const OperatingPoint now = evaluate(string, converter, current_a_);
-  if (now.output_power_w <= 0.0) {
-    // Converter dropout: the P&O power signal is flat at zero, so steer by
-    // voltage instead.  Below the window (string loaded too hard) reduce
-    // the current; above it (string nearly open) increase it.
-    direction_ = now.voltage_v < converter.params().output_voltage_v ? -1.0 : 1.0;
-    primed_ = false;  // re-prime once power reappears
-  } else if (!primed_) {
-    primed_ = true;
-  } else if (now.output_power_w < prev_power_w_) {
-    direction_ = -direction_;  // walked past the peak: turn around
-  }
-  prev_power_w_ = now.output_power_w;
-  const double isc = string.total_voc_v() / string.total_resistance_ohm();
-  current_a_ = std::clamp(current_a_ + direction_ * step_a_, 0.0, isc);
-  return now;
-}
-
-OperatingPoint PerturbObserveTracker::run(const teg::SeriesString& string,
-                                          const Converter& converter,
-                                          std::size_t iters) {
-  OperatingPoint pt;
-  for (std::size_t k = 0; k < iters; ++k) pt = step(string, converter);
-  return pt;
 }
 
 }  // namespace tegrec::power

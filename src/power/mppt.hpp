@@ -5,14 +5,12 @@
 // string of linear sources has a strictly concave P(I), P&O converges to a
 // neighbourhood of the optimum whose size is the perturbation step.
 //
-// Two trackers are provided:
-//  * PerturbObserveTracker — the faithful iterative controller;
-//  * optimal_operating_point — a golden-section oracle on the
-//    post-converter power, used by the simulator (which models a settled
-//    tracker) and by tests as the convergence reference.
+// The simulator models a settled tracker: optimal_operating_point is a
+// golden-section search for the post-converter power maximum.  The
+// iterative P&O controller itself is a test oracle
+// (tests/oracle/perturb_observe.hpp); tests show it converges to within a
+// few percent of this optimum, which is the evidence for the model.
 #pragma once
-
-#include <cstddef>
 
 #include "power/converter.hpp"
 #include "teg/string.hpp"
@@ -39,34 +37,5 @@ OperatingPoint optimal_operating_point(const teg::SeriesString& string,
 OperatingPoint optimal_operating_point(double voc_v, double r_ohm,
                                        const Converter& converter,
                                        double tol_a = 1e-6);
-
-/// Ideal-charger variant: maximises raw array power (closed form).
-OperatingPoint array_mpp_operating_point(const teg::SeriesString& string);
-
-/// Classic fixed-step perturb & observe controller.
-class PerturbObserveTracker {
- public:
-  /// `step_a` is the current perturbation per iteration.
-  explicit PerturbObserveTracker(double step_a = 0.02);
-
-  /// Re-seeds the tracker (e.g. after a reconfiguration) at a current.
-  void reset(double current_a);
-
-  /// One P&O iteration against the live string; returns the new point.
-  OperatingPoint step(const teg::SeriesString& string, const Converter& converter);
-
-  /// Runs `iters` iterations and returns the final point.
-  OperatingPoint run(const teg::SeriesString& string, const Converter& converter,
-                     std::size_t iters);
-
-  double current_a() const { return current_a_; }
-
- private:
-  double step_a_;
-  double current_a_ = 0.0;
-  double prev_power_w_ = 0.0;
-  double direction_ = 1.0;
-  bool primed_ = false;
-};
 
 }  // namespace tegrec::power

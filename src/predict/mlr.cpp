@@ -19,7 +19,8 @@ void MlrPredictor::fit(const TemperatureHistory& history) {
   }
   // Accumulates X^T X and X^T y straight from the history rows, in the row
   // order the design matrix X would have ((t, module), t-major) and with
-  // the same per-entry operations as util::least_squares' Matrix products:
+  // the same per-entry operations as the materialised least-squares
+  // oracle's Matrix products (tests/oracle/least_squares.hpp):
   // X^T X skips exact-zero left factors, X^T y skips nothing.  Each entry
   // therefore sums the same terms in the same order, so the coefficients
   // are bit-identical to solving the materialised (N * (W - L)) x (L + 1)

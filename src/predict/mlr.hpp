@@ -7,8 +7,9 @@
 // paper cites for MLR.  fit() never materialises the (N * (W - L)) x
 // (L + 1) design matrix: it accumulates the normal equations X^T X and
 // X^T y row by row straight from the history, in the design matrix's row
-// order, so the coefficients are bit-identical to util::least_squares on
-// the materialised system at O(L^2) scratch.
+// order, so the coefficients are bit-identical to solving the materialised
+// system (the oracle::least_squares reference in tests/oracle, which
+// tests/test_mlr.cpp compares against) at O(L^2) scratch.
 #pragma once
 
 #include <vector>

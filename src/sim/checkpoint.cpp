@@ -1,7 +1,6 @@
 #include "sim/checkpoint.hpp"
 
 #include <cstdio>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,14 +13,15 @@
 #include "core/inor.hpp"
 #include "sim/result_io.hpp"
 #include "sim/spec.hpp"
-#include "util/atomic_file.hpp"
-#include "util/hash.hpp"
 #include "util/parse.hpp"
 
 namespace tegrec::sim {
 
 namespace {
 
+// Bump the version when the serialisation (or the semantics of any field
+// in it) changes; old checkpoints then fail the magic check loudly instead
+// of mis-restoring.
 constexpr const char* kMagic = "# tegrec-checkpoint v1";
 
 // Same line dialect as sim/result_io.cpp, whose table codec this file
@@ -75,8 +75,6 @@ std::unique_ptr<core::Reconfigurer> make_stream_controller(
   if (config.num_modules == 0) {
     throw std::invalid_argument("make_stream_controller: num_modules == 0");
   }
-  // Mirrors detail::run_comparison_direct (sim/experiment.cpp) so the
-  // streamed decision sequence is bit-identical to the batch harness.
   const teg::DeviceParams& device = config.sim.device;
   const power::ConverterParams& charger = config.sim.converter;
   switch (config.scheme) {
@@ -113,15 +111,6 @@ std::string stream_config_fingerprint_text(const StreamConfig& config) {
     os << "sim." << line << '\n';
   }
   return os.str();
-}
-
-std::string stream_config_fingerprint(const StreamConfig& config) {
-  std::string text = stream_config_fingerprint_text(config);
-  text += "checkpoint_schema_version = " +
-          std::to_string(kCheckpointSchemaVersion) + "\n";
-  const std::uint64_t a = util::fnv1a64(text, util::kFnv1aOffsetBasis);
-  const std::uint64_t b = util::fnv1a64(text, util::kFnv1aAltBasis);
-  return util::hex64(a) + util::hex64(b);
 }
 
 // Field-complete serialisation of StepperState — the tegrec_lint
@@ -250,30 +239,6 @@ DecodedCheckpoint decode_checkpoint(
     throw std::runtime_error(std::string("checkpoint: malformed value: ") +
                              e.what());
   }
-}
-
-// SimStepper's disk door lives here with the codec (stepper.cpp stays
-// pure simulation).
-
-void SimStepper::save(const std::string& path,
-                      const std::string& fingerprint_text,
-                      const util::AtomicWriteOptions& write_options) const {
-  const std::string content =
-      encode_checkpoint(state(), fingerprint_text, /*extra_lines=*/{});
-  util::AtomicWriteOptions options = write_options;
-  if (options.fault_site.empty()) options.fault_site = "stream.checkpoint";
-  util::atomic_write_file(path, content, options);
-}
-
-void SimStepper::restore(const std::string& path,
-                         const std::string& fingerprint_text) {
-  const std::optional<std::string> text = util::read_file_if_exists(path);
-  if (!text) {
-    throw std::runtime_error("SimStepper::restore: cannot read checkpoint '" +
-                             path + "'");
-  }
-  const DecodedCheckpoint decoded = decode_checkpoint(*text, fingerprint_text);
-  restore_state(decoded.state);
 }
 
 }  // namespace tegrec::sim

@@ -31,11 +31,6 @@
 
 namespace tegrec::sim {
 
-/// Bump when the checkpoint serialisation (or the semantics of any field
-/// in it) changes; old checkpoints then fail the magic check loudly
-/// instead of mis-restoring.
-inline constexpr int kCheckpointSchemaVersion = 1;
-
 /// Reconfiguration scheme of one streamed array.
 enum class StreamScheme { kDnor, kInor, kEhtr, kBaseline };
 
@@ -58,9 +53,9 @@ struct StreamConfig {
   SimulationOptions sim;
 };
 
-/// Builds the scheme's controller exactly as the batch comparison harness
-/// does (sim/experiment.cpp), so a streamed run over a trace's samples is
-/// bit-identical to the batch run over the trace.
+/// The one controller factory: the batch comparison harness
+/// (sim/experiment.cpp) builds its controllers here too, so a streamed run
+/// over a trace's samples is bit-identical to the batch run over the trace.
 std::unique_ptr<core::Reconfigurer> make_stream_controller(
     const StreamConfig& config);
 
@@ -68,12 +63,6 @@ std::unique_ptr<core::Reconfigurer> make_stream_controller(
 /// field (doubles at %.17g; sim.* lines via
 /// simulation_options_fingerprint_text).
 std::string stream_config_fingerprint_text(const StreamConfig& config);
-
-/// 32-hex-digit content hash of the stamp (same dual-basis construction
-/// as the experiment-spec fingerprint, plus the checkpoint schema
-/// version).  Convenience for naming checkpoint files; the codec always
-/// compares the full text, never just this hash.
-std::string stream_config_fingerprint(const StreamConfig& config);
 
 /// A decoded checkpoint: the stepper snapshot plus the caller's
 /// carry-along lines, byte-preserved in order.

@@ -13,9 +13,10 @@
 //
 // Checkpoint/restore: state() snapshots every mutable field into a
 // StepperState (the controller contributes an opaque blob via its
-// checkpoint hooks); save()/restore() move that snapshot through the
-// versioned, fingerprint-stamped on-disk codec in sim/checkpoint.hpp using
-// the util::atomic_write_file publication door.
+// checkpoint hooks) and restore_state() reinstates one.  The versioned,
+// fingerprint-stamped codec in sim/checkpoint.hpp turns a snapshot into
+// bytes; callers publish them through util::atomic_write_file (the stream
+// server does, sim/stream_server.hpp).
 #pragma once
 
 #include <cstddef>
@@ -28,7 +29,6 @@
 #include "power/converter.hpp"
 #include "sim/simulator.hpp"
 #include "switchfab/switch_network.hpp"
-#include "util/atomic_file.hpp"
 
 namespace tegrec::sim {
 
@@ -100,18 +100,6 @@ class SimStepper {
   /// a corrupt one (nothing is applied on failure).
   StepperState state() const;
   void restore_state(const StepperState& state);
-
-  /// Checkpoint to/from disk through the versioned codec
-  /// (sim/checkpoint.hpp) and the atomic publication door.
-  /// `fingerprint_text` is the configuration stamp (for streaming runs,
-  /// stream_config_fingerprint_text()); restore() refuses a checkpoint
-  /// whose stamp differs — a checkpoint can never resume against a
-  /// different spec.  save() publishes under fault site
-  /// "stream.checkpoint" unless `write_options` names another; corrupt or
-  /// truncated files make restore() throw std::runtime_error.
-  void save(const std::string& path, const std::string& fingerprint_text,
-            const util::AtomicWriteOptions& write_options = {}) const;
-  void restore(const std::string& path, const std::string& fingerprint_text);
 
  private:
   core::Reconfigurer* controller_;

@@ -51,8 +51,7 @@ ConfigMutator sweep_mutator(const std::string& name) {
   const auto it = registry.find(name);
   if (it != registry.end()) return it->second;
   std::string known;
-  for (const auto& [key, fn] : registry) {
-    (void)fn;
+  for (const std::string& key : sweep_parameter_names()) {
     if (!known.empty()) known += ", ";
     known += key;
   }
@@ -67,18 +66,6 @@ std::vector<std::string> sweep_parameter_names() {
     names.push_back(key);
   }
   return names;  // std::map iterates sorted
-}
-
-util::CsvTable sweep_to_csv(const std::string& value_name,
-                            const std::vector<SweepPoint>& points) {
-  util::CsvTable table;
-  table.header = {value_name, "dnor_j", "baseline_j", "gain_percent",
-                  "dnor_ratio"};
-  for (const SweepPoint& p : points) {
-    table.rows.push_back({p.value, p.dnor_energy_j, p.baseline_energy_j,
-                          100.0 * p.gain, p.dnor_ratio_to_ideal});
-  }
-  return table;
 }
 
 namespace detail {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "thermal/trace.hpp"
-#include "util/csv.hpp"
 
 namespace tegrec::sim {
 
@@ -36,11 +35,6 @@ ConfigMutator sweep_mutator(const std::string& name);
 
 /// Names accepted by sweep_mutator, sorted.
 std::vector<std::string> sweep_parameter_names();
-
-/// Packs sweep points into a CSV table (columns: value, dnor_j, baseline_j,
-/// gain_percent, dnor_ratio).  `value_name` becomes the first header.
-util::CsvTable sweep_to_csv(const std::string& value_name,
-                            const std::vector<SweepPoint>& points);
 
 namespace detail {
 

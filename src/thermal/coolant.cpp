@@ -18,6 +18,4 @@ FluidProperties ambient_air() {
 
 double lpm_to_m3s(double lpm) { return lpm / 1000.0 / 60.0; }
 
-double m3s_to_lpm(double m3s) { return m3s * 1000.0 * 60.0; }
-
 }  // namespace tegrec::thermal

@@ -25,9 +25,6 @@ struct RadiatorLayout {
   /// across the TEG module:  T_hot(i) - T_amb = coupling * (T(d_i) - T_amb).
   /// 1.0 would mean a perfect thermal short from coolant to module hot side.
   double surface_coupling = 0.72;
-
-  /// Module-centre distance from the radiator entrance [m].
-  double module_position_m(std::size_t i) const;
 };
 
 /// Hot-side temperatures of all N modules for the given stream conditions.
@@ -35,10 +32,5 @@ struct RadiatorLayout {
 /// (1-indexed in the paper, 0-indexed here).
 std::vector<double> module_hot_side_temperatures(const RadiatorLayout& layout,
                                                  const StreamConditions& cond);
-
-/// Per-module temperature difference dT(i) = T_hot(i) - T_ambient, the
-/// quantity that drives TEG output (Section II).
-std::vector<double> module_delta_t(const RadiatorLayout& layout,
-                                   const StreamConditions& cond);
 
 }  // namespace tegrec::thermal

@@ -39,9 +39,6 @@ class TemperatureTrace {
   std::vector<double> step_delta_t(std::size_t step) const;
   double ambient_c(std::size_t step) const;
 
-  /// Time series of one module across all steps.
-  std::vector<double> module_series(std::size_t module) const;
-
   /// Index of the step at/after a time in seconds (clamped to the end).
   std::size_t step_at_time(double time_s) const;
 

@@ -25,11 +25,6 @@ struct CsvTable {
 
   std::size_t num_rows() const { return rows.size(); }
   std::size_t num_cols() const { return header.size(); }
-
-  /// Index of a header column; throws std::out_of_range if absent.
-  std::size_t column_index(const std::string& name) const;
-  /// Extracts a full column by header name.
-  std::vector<double> column(const std::string& name) const;
 };
 
 /// Significant digits for cell serialisation.  The default keeps bench

@@ -24,12 +24,6 @@ std::uint64_t fnv1a64(std::string_view text, std::uint64_t state) {
   return fnv1a64(text.data(), text.size(), state);
 }
 
-std::uint64_t fnv1a64_file(const std::string& path, std::uint64_t state) {
-  std::uint64_t unused = kFnv1aAltBasis;
-  fnv1a64_file(path, state, unused);
-  return state;
-}
-
 void fnv1a64_file(const std::string& path, std::uint64_t& state_a,
                   std::uint64_t& state_b) {
   std::ifstream f(path, std::ios::binary);

@@ -1,7 +1,8 @@
 // Summary statistics and forecast error metrics.
 //
-// The paper evaluates temperature predictors with MAPE (Eq. 3); the tests
-// and benches also use RMSE, mean/stddev and min/max summaries.
+// The paper evaluates temperature predictors with MAPE (Eq. 3); the
+// prediction evaluator also reports mean and min/max summaries, and the
+// Monte-Carlo studies stream theirs through RunningStats.
 #pragma once
 
 #include <cstddef>
@@ -10,21 +11,14 @@
 namespace tegrec::util {
 
 double mean(const std::vector<double>& v);
-/// Sample standard deviation (n-1 denominator); 0 for fewer than 2 samples.
-double stddev(const std::vector<double>& v);
 double min_value(const std::vector<double>& v);
 double max_value(const std::vector<double>& v);
-double sum(const std::vector<double>& v);
 
 /// Mean Absolute Percentage Error in percent, Eq. (3) of the paper:
 ///   M = (100/n) * sum |(A_t - F_t) / A_t| %
 /// Entries with |A_t| below `eps` are skipped to avoid division blow-ups.
 double mape_percent(const std::vector<double>& actual,
                     const std::vector<double>& forecast, double eps = 1e-9);
-
-double rmse(const std::vector<double>& actual, const std::vector<double>& forecast);
-double max_abs_error(const std::vector<double>& actual,
-                     const std::vector<double>& forecast);
 
 /// Streaming accumulator for mean / variance / extrema (Welford).
 class RunningStats {

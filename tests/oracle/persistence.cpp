@@ -1,10 +1,10 @@
-#include "predict/persistence.hpp"
+#include "oracle/persistence.hpp"
 
 #include <stdexcept>
 
-namespace tegrec::predict {
+namespace tegrec::oracle {
 
-void PersistencePredictor::fit(const TemperatureHistory& history) {
+void PersistencePredictor::fit(const predict::TemperatureHistory& history) {
   if (history.empty()) {
     throw std::invalid_argument("PersistencePredictor::fit: empty history");
   }
@@ -12,9 +12,9 @@ void PersistencePredictor::fit(const TemperatureHistory& history) {
 }
 
 std::vector<double> PersistencePredictor::predict_next(
-    const TemperatureHistory& history) const {
+    const predict::TemperatureHistory& history) const {
   if (!fitted_) throw std::logic_error("PersistencePredictor: predict before fit");
   return history.latest();
 }
 
-}  // namespace tegrec::predict
+}  // namespace tegrec::oracle

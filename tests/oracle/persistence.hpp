@@ -2,23 +2,25 @@
 //
 // Forecasts T_{t+1,i} = T_{t,i}.  Not one of the paper's three methods but
 // the standard sanity baseline: any learned predictor must beat it on MAPE
-// to justify its runtime, and the property tests pin that ordering.
+// to justify its runtime, and the property tests and the prediction
+// benches pin that ordering.
 #pragma once
 
 #include "predict/predictor.hpp"
 
-namespace tegrec::predict {
+namespace tegrec::oracle {
 
-class PersistencePredictor final : public Predictor {
+class PersistencePredictor final : public predict::Predictor {
  public:
   std::string name() const override { return "Persistence"; }
   std::size_t num_lags() const override { return 1; }
-  void fit(const TemperatureHistory& history) override;
+  void fit(const predict::TemperatureHistory& history) override;
   bool is_fitted() const override { return fitted_; }
-  std::vector<double> predict_next(const TemperatureHistory& history) const override;
+  std::vector<double> predict_next(
+      const predict::TemperatureHistory& history) const override;
 
  private:
   bool fitted_ = false;
 };
 
-}  // namespace tegrec::predict
+}  // namespace tegrec::oracle

@@ -1,4 +1,4 @@
-#include "core/prescient.hpp"
+#include "oracle/prescient.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -6,7 +6,7 @@
 #include "core/objective.hpp"
 #include "util/runtime_clock.hpp"
 
-namespace tegrec::core {
+namespace tegrec::oracle {
 
 PrescientReconfigurer::PrescientReconfigurer(
     const teg::DeviceParams& device, const power::ConverterParams& converter,
@@ -37,29 +37,28 @@ std::pair<double, double> PrescientReconfigurer::future_energies_j(
     const teg::TegArray array(device_, trace_->step_delta_t(t),
                               trace_->ambient_c(t));
     const teg::ArrayEvaluator evaluator(array);
-    e_old += config_power_w(evaluator, converter_, c_old) * dt;
-    e_new += config_power_w(evaluator, converter_, c_new) * dt;
+    e_old += core::config_power_w(evaluator, converter_, c_old) * dt;
+    e_new += core::config_power_w(evaluator, converter_, c_new) * dt;
   }
   return {e_old, e_new};
 }
 
-UpdateResult PrescientReconfigurer::update(double time_s,
-                                           const std::vector<double>& delta_t_k,
-                                           double ambient_c) {
-  UpdateResult result;
+core::UpdateResult PrescientReconfigurer::update(
+    double time_s, const std::vector<double>& delta_t_k, double ambient_c) {
+  core::UpdateResult result;
   if (has_config_ && time_s + 1e-9 < next_decision_time_s_) {
     result.config = current_;
     return result;
   }
   const util::MonotonicTimer timer;
   const teg::TegArray array(device_, delta_t_k, ambient_c);
-  teg::ArrayConfig c_new = inor_search(array, converter_, params_.inor);
+  teg::ArrayConfig c_new = core::inor_search(array, converter_, params_.inor);
 
   bool adopt = true;
   if (has_config_ && c_new != current_) {
     const auto [e_old, e_new] = future_energies_j(current_, c_new, time_s);
     const std::size_t toggles = 3 * current_.boundary_distance(c_new);
-    const double p_now = config_power_w(array, converter_, current_);
+    const double p_now = core::config_power_w(array, converter_, current_);
     // Mirrors the stepper's actuation charge, own compute budget included.
     const double e_overhead =
         switchfab::reconfiguration_cost(
@@ -92,4 +91,4 @@ void PrescientReconfigurer::reset() {
   switches_ = 0;
 }
 
-}  // namespace tegrec::core
+}  // namespace tegrec::oracle

@@ -6,27 +6,32 @@
 // PrescientReconfigurer and DNOR-with-MLR is exactly the cost of imperfect
 // prediction, and the gap to INOR is the value of the switch-or-hold rule
 // itself.  Simulation-only by construction (no real controller can see the
-// future); lives in core so the ablation benches and tests can treat it as
-// just another Reconfigurer.
+// future), so it is a test oracle: the ablation benches and tests treat it
+// as just another core::Reconfigurer.
 #pragma once
 
 #include <utility>
 
+#include "core/algorithm_cost.hpp"
 #include "core/inor.hpp"
 #include "core/reconfigurer.hpp"
 #include "switchfab/overhead.hpp"
 #include "thermal/trace.hpp"
 
-namespace tegrec::core {
+namespace tegrec::oracle {
+
+/// Compute weight of the oracle lookup on core::AlgorithmCost's scale: the
+/// same single-pass switch-or-hold rule as DNOR.
+inline core::AlgorithmCost prescient_cost() { return {1.0}; }
 
 struct PrescientParams {
   double control_period_s = 0.5;
   double tp_s = 2.0;  ///< lookahead window, matching DNOR's horizon
-  InorOptions inor;
+  core::InorOptions inor;
   switchfab::OverheadParams overhead;
 };
 
-class PrescientReconfigurer final : public Reconfigurer {
+class PrescientReconfigurer final : public core::Reconfigurer {
  public:
   /// `trace` must be the exact trace the simulator replays (the oracle
   /// looks up future steps by time).
@@ -36,11 +41,12 @@ class PrescientReconfigurer final : public Reconfigurer {
                         const PrescientParams& params = {});
 
   std::string name() const override { return "Oracle"; }
-  UpdateResult update(double time_s, const std::vector<double>& delta_t_k,
-                      double ambient_c) override;
+  core::UpdateResult update(double time_s,
+                            const std::vector<double>& delta_t_k,
+                            double ambient_c) override;
   void reset() override;
-  AlgorithmCost algorithm_cost() const override {
-    return AlgorithmCost::prescient();
+  core::AlgorithmCost algorithm_cost() const override {
+    return prescient_cost();
   }
 
   std::size_t switches_taken() const { return switches_; }
@@ -63,4 +69,4 @@ class PrescientReconfigurer final : public Reconfigurer {
                                               double from_time_s) const;
 };
 
-}  // namespace tegrec::core
+}  // namespace tegrec::oracle

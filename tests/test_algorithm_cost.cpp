@@ -18,8 +18,8 @@
 #include "core/ehtr.hpp"
 #include "core/fixed_baseline.hpp"
 #include "core/inor.hpp"
-#include "core/prescient.hpp"
 #include "oracle/exhaustive.hpp"
+#include "oracle/prescient.hpp"
 #include "sim/simulator.hpp"
 #include "switchfab/overhead.hpp"
 #include "thermal/trace.hpp"
@@ -45,7 +45,7 @@ TEST(AlgorithmCost, BudgetsAreStrictlyOrderedBySearchEffort) {
   p.compute_budget_s = 2e-3;
   const double baseline = core::AlgorithmCost::baseline().budget_s(p);
   const double dnor = core::AlgorithmCost::dnor().budget_s(p);
-  const double prescient = core::AlgorithmCost::prescient().budget_s(p);
+  const double prescient = oracle::prescient_cost().budget_s(p);
   const double inor = core::AlgorithmCost::inor().budget_s(p);
   const double ehtr = core::AlgorithmCost::ehtr().budget_s(p);
   const double exhaustive = oracle::exhaustive_cost().budget_s(p);
@@ -70,7 +70,7 @@ TEST(AlgorithmCost, BudgetsAreStrictlyOrderedBySearchEffort) {
 TEST(AlgorithmCost, ControllersDeclareTheExpectedWeights) {
   const auto trace = test_trace(5.0);
   core::DnorReconfigurer dnor(kDev, kConv);
-  core::PrescientReconfigurer prescient(kDev, kConv, trace);
+  oracle::PrescientReconfigurer prescient(kDev, kConv, trace);
   core::InorReconfigurer inor(kDev, kConv);
   core::EhtrReconfigurer ehtr(kDev, kConv);
   auto baseline = core::FixedBaselineReconfigurer::square_grid(20);

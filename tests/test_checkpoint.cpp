@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -59,6 +60,24 @@ SteppedRun make_run(const StreamConfig& config, const thermal::TemperatureTrace&
     run.stepper->step(sample);
   }
   return run;
+}
+
+/// Publishes the stepper's checkpoint the way the stream server does: the
+/// codec, then the atomic write door.
+void save(const SimStepper& stepper, const std::string& path,
+          const std::string& stamp,
+          const util::AtomicWriteOptions& options = {}) {
+  util::atomic_write_file(path, encode_checkpoint(stepper.state(), stamp),
+                          options);
+}
+
+/// Reads a published checkpoint back into `stepper`; a missing, corrupt or
+/// differently stamped file throws std::runtime_error.
+void restore(SimStepper& stepper, const std::string& path,
+             const std::string& stamp) {
+  const std::optional<std::string> text = util::read_file_if_exists(path);
+  if (!text) throw std::runtime_error("cannot read checkpoint " + path);
+  stepper.restore_state(decode_checkpoint(*text, stamp).state);
 }
 
 void expect_states_equal(const StepperState& a, const StepperState& b) {
@@ -188,32 +207,32 @@ class CheckpointFaults : public ::testing::Test {
 TEST_F(CheckpointFaults, WriteFailExhaustsRetriesAndThrows) {
   util::FaultInjector faults;
   faults.arm("stream.checkpoint.write_fail", 1, 1000);  // every attempt
-  EXPECT_THROW(run_.stepper->save(path_, stamp_, write_options(faults)),
+  EXPECT_THROW(save(*run_.stepper, path_, stamp_, write_options(faults)),
                std::runtime_error);
   EXPECT_FALSE(util::read_file_if_exists(path_).has_value());  // nothing torn
 
   // A transient failure (first attempt only) is retried to success.
   util::FaultInjector transient;
   transient.arm("stream.checkpoint.write_fail", 1, 1);
-  run_.stepper->save(path_, stamp_, write_options(transient));
+  save(*run_.stepper, path_, stamp_, write_options(transient));
   SteppedRun fresh = make_run(config_, *trace_, 0);
-  fresh.stepper->restore(path_, stamp_);
+  restore(*fresh.stepper, path_, stamp_);
   EXPECT_EQ(fresh.stepper->steps_consumed(), 6u);
 }
 
 TEST_F(CheckpointFaults, TornPublicationIsRejectedOnRestore) {
   util::FaultInjector faults;
   faults.arm("stream.checkpoint.torn", 1, 1);
-  run_.stepper->save(path_, stamp_, write_options(faults));
+  save(*run_.stepper, path_, stamp_, write_options(faults));
   // The torn fault published a half-written prefix: restore must throw,
   // never restore a partial state.
   SteppedRun fresh = make_run(config_, *trace_, 0);
-  EXPECT_THROW(fresh.stepper->restore(path_, stamp_), std::runtime_error);
+  EXPECT_THROW(restore(*fresh.stepper, path_, stamp_), std::runtime_error);
   EXPECT_EQ(fresh.stepper->steps_consumed(), 0u);  // untouched by the failure
 }
 
 TEST_F(CheckpointFaults, CrashLeavesPreviousCheckpointIntact) {
-  run_.stepper->save(path_, stamp_);  // a good generation-1 checkpoint
+  save(*run_.stepper, path_, stamp_);  // a good generation-1 checkpoint
 
   // Advance, then crash mid-write of generation 2: the temp is abandoned
   // before rename, so generation 1 must still be on disk, whole.
@@ -224,18 +243,18 @@ TEST_F(CheckpointFaults, CrashLeavesPreviousCheckpointIntact) {
   run_.stepper->step(sample);
   util::FaultInjector faults;
   faults.arm("stream.checkpoint.crash", 1, 1);
-  EXPECT_THROW(run_.stepper->save(path_, stamp_, write_options(faults)),
+  EXPECT_THROW(save(*run_.stepper, path_, stamp_, write_options(faults)),
                util::AtomicWriteCrash);
 
   SteppedRun fresh = make_run(config_, *trace_, 0);
-  fresh.stepper->restore(path_, stamp_);
+  restore(*fresh.stepper, path_, stamp_);
   EXPECT_EQ(fresh.stepper->steps_consumed(), 6u);  // generation 1, not 7
 }
 
 // ------------------------------------------- fingerprint field sensitivity
 
 // Runtime twin of the lint cache-key cross-check: every result-affecting
-// StreamConfig field must move the fingerprint, and the execution hint
+// StreamConfig field must move the fingerprint text, and the execution hint
 // must not (two machines with different core counts share checkpoints).
 TEST(Checkpoint, FingerprintMovesPerResultAffectingField) {
   const StreamConfig base = [] {
@@ -243,35 +262,35 @@ TEST(Checkpoint, FingerprintMovesPerResultAffectingField) {
     c.num_modules = 8;
     return c;
   }();
-  const std::string fp = stream_config_fingerprint(base);
+  const std::string fp = stream_config_fingerprint_text(base);
 
   StreamConfig scheme = base;
   scheme.scheme = StreamScheme::kEhtr;
-  EXPECT_NE(stream_config_fingerprint(scheme), fp);
+  EXPECT_NE(stream_config_fingerprint_text(scheme), fp);
 
   StreamConfig period = base;
   period.control_period_s = 1.0;
-  EXPECT_NE(stream_config_fingerprint(period), fp);
+  EXPECT_NE(stream_config_fingerprint_text(period), fp);
 
   StreamConfig dt = base;
   dt.dt_s = 0.25;
-  EXPECT_NE(stream_config_fingerprint(dt), fp);
+  EXPECT_NE(stream_config_fingerprint_text(dt), fp);
 
   StreamConfig modules = base;
   modules.num_modules = 9;
-  EXPECT_NE(stream_config_fingerprint(modules), fp);
+  EXPECT_NE(stream_config_fingerprint_text(modules), fp);
 
   StreamConfig physics = base;
   physics.sim.charge_overhead = !physics.sim.charge_overhead;
-  EXPECT_NE(stream_config_fingerprint(physics), fp);
+  EXPECT_NE(stream_config_fingerprint_text(physics), fp);
 
   StreamConfig battery = base;
   battery.sim.battery.capacity_ah *= 2.0;
-  EXPECT_NE(stream_config_fingerprint(battery), fp);
+  EXPECT_NE(stream_config_fingerprint_text(battery), fp);
 
   StreamConfig exec_hint = base;
   exec_hint.sim.num_threads = 7;  // execution hint: excluded by design
-  EXPECT_EQ(stream_config_fingerprint(exec_hint), fp);
+  EXPECT_EQ(stream_config_fingerprint_text(exec_hint), fp);
 }
 
 TEST(Checkpoint, SchemeNamesRoundTrip) {

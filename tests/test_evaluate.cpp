@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/persistence.hpp"
 #include "predict/mlr.hpp"
-#include "predict/persistence.hpp"
 
 namespace tegrec::predict {
 namespace {
@@ -49,7 +49,7 @@ TEST(Evaluate, MlrBeatsPersistence) {
   EvaluationOptions options;
   options.window = 20;
   MlrPredictor mlr;
-  PersistencePredictor naive;
+  oracle::PersistencePredictor naive;
   const double mlr_mape = evaluate_online(mlr, trace, options).mean_mape_percent;
   const double naive_mape =
       evaluate_online(naive, trace, options).mean_mape_percent;

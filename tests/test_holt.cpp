@@ -3,7 +3,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include "predict/persistence.hpp"
+#include "oracle/persistence.hpp"
 #include "util/rng.hpp"
 
 namespace tegrec::predict {
@@ -53,7 +53,7 @@ TEST(Holt, BeatsPersistenceOnTrendingSignal) {
     h.push(row);
   }
   HoltPredictor holt;
-  PersistencePredictor naive;
+  oracle::PersistencePredictor naive;
   holt.fit(h);
   naive.fit(h);
   const auto p_holt = holt.predict_next(h);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <string>
 
+#include "oracle/least_squares.hpp"
 #include "util/linalg.hpp"
 #include "util/rng.hpp"
 
@@ -145,7 +146,7 @@ TEST(PredictorBase, HorizonZeroThrows) {
 
 // The least-squares problem fit() solves, materialised the way fit() once
 // built it: one design row [1, T_{t-1}, ..., T_{t-L}] -> T_t per (t,
-// module), t-major, solved by util::least_squares.
+// module), t-major, solved by oracle::least_squares.
 std::vector<double> materialised_fit(const TemperatureHistory& h,
                                      std::size_t lags, double ridge) {
   const std::size_t modules = h.num_modules();
@@ -159,7 +160,7 @@ std::vector<double> materialised_fit(const TemperatureHistory& h,
       y[r] = h.row(t)[m];
     }
   }
-  return util::least_squares(x, y, ridge);
+  return oracle::least_squares(x, y, ridge);
 }
 
 void expect_bit_identical_fit(const TemperatureHistory& h, std::size_t lags,

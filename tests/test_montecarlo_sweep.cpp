@@ -114,15 +114,5 @@ TEST(Sweep, Validation) {
   EXPECT_THROW(run_experiment(no_base), std::invalid_argument);
 }
 
-TEST(Sweep, CsvExport) {
-  const auto points =
-      run_experiment(sweep_spec("surface_coupling", {0.5, 0.7})).sweep;
-  const util::CsvTable table = sweep_to_csv("coupling", points);
-  EXPECT_EQ(table.header.front(), "coupling");
-  ASSERT_EQ(table.num_rows(), 2u);
-  EXPECT_DOUBLE_EQ(table.rows[0][0], 0.5);
-  EXPECT_NEAR(table.rows[1][3], 100.0 * points[1].gain, 1e-9);
-}
-
 }  // namespace
 }  // namespace tegrec::sim

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/perturb_observe.hpp"
 #include "teg/array.hpp"
 
 namespace tegrec::power {
 namespace {
+
+using oracle::PerturbObserveTracker;
 
 const teg::DeviceParams kDev = teg::tgm_199_1_4_0_8();
 
@@ -64,14 +67,6 @@ TEST(OptimalOperatingPoint, BadToleranceThrows) {
   const Converter conv;
   const teg::SeriesString s = make_string(4, 20.0, 10.0);
   EXPECT_THROW(optimal_operating_point(s, conv, 0.0), std::invalid_argument);
-}
-
-TEST(ArrayMppOperatingPoint, ClosedForm) {
-  const teg::SeriesString s = make_string(8, 30.0, 12.0);
-  const OperatingPoint pt = array_mpp_operating_point(s);
-  EXPECT_DOUBLE_EQ(pt.current_a, s.mpp_current_a());
-  EXPECT_DOUBLE_EQ(pt.array_power_w, s.mpp_power_w());
-  EXPECT_DOUBLE_EQ(pt.output_power_w, pt.array_power_w);
 }
 
 TEST(PerturbObserve, ConvergesNearOracle) {

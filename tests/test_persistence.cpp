@@ -1,9 +1,11 @@
-#include "predict/persistence.hpp"
+#include "oracle/persistence.hpp"
 
 #include <gtest/gtest.h>
 
 namespace tegrec::predict {
 namespace {
+
+using oracle::PersistencePredictor;
 
 TEST(Persistence, PredictsLastRow) {
   PersistencePredictor p;

@@ -1,4 +1,4 @@
-#include "core/prescient.hpp"
+#include "oracle/prescient.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,9 @@
 
 namespace tegrec::core {
 namespace {
+
+using oracle::PrescientParams;
+using oracle::PrescientReconfigurer;
 
 const teg::DeviceParams kDev = teg::tgm_199_1_4_0_8();
 const power::ConverterParams kConv;

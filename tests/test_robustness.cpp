@@ -7,6 +7,7 @@
 #include "core/inor.hpp"
 #include "core/objective.hpp"
 #include "oracle/ehtr.hpp"
+#include "oracle/perturb_observe.hpp"
 #include "power/mppt.hpp"
 #include "sim/spec.hpp"
 #include "thermal/trace.hpp"
@@ -90,7 +91,7 @@ TEST_P(TrackerAgreement, PerturbObserveReachesOracle) {
   const power::OperatingPoint oracle = power::optimal_operating_point(s, conv);
   if (oracle.output_power_w < 0.5) GTEST_SKIP() << "string outside window";
 
-  power::PerturbObserveTracker po(0.01);
+  oracle::PerturbObserveTracker po(0.01);
   po.reset(0.4 * oracle.current_a);
   EXPECT_GT(po.run(s, conv, 1500).output_power_w, 0.95 * oracle.output_power_w)
       << "P&O, seed " << GetParam();

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "sim/simulator.hpp"
 #include "thermal/scenario.hpp"
 #include "thermal/trace.hpp"
+#include "util/atomic_file.hpp"
 
 namespace tegrec::sim {
 namespace {
@@ -281,9 +283,10 @@ TEST(Stepper, RestoreIsAllOrNothing) {
   EXPECT_EQ(stepper.steps_consumed(), 7u);
 }
 
-// The disk round-trip door: save() then restore() into a fresh stepper
-// continues bit-identically, and the stamp is enforced.
-TEST(Stepper, SaveRestoreRoundTripsThroughDisk) {
+// The disk round trip the stream server makes: encode_checkpoint through
+// atomic_write_file, then read_file_if_exists and decode_checkpoint into a
+// fresh stepper, continues bit-identically, and the stamp is enforced.
+TEST(Stepper, CheckpointRoundTripsThroughDisk) {
   const auto trace = urban_trace();
   StreamConfig config;
   config.scheme = StreamScheme::kDnor;
@@ -308,12 +311,14 @@ TEST(Stepper, SaveRestoreRoundTripsThroughDisk) {
   SimStepper first(*first_controller, config.dt_s, config.num_modules,
                    config.sim);
   for (std::size_t t = 0; t < cut; ++t) first.step(sample_at(trace, t));
-  first.save(path, stamp);
+  util::atomic_write_file(path, encode_checkpoint(first.state(), stamp));
+  const std::optional<std::string> text = util::read_file_if_exists(path);
+  ASSERT_TRUE(text.has_value());
 
   const auto second_controller = make_stream_controller(config);
   SimStepper second(*second_controller, config.dt_s, config.num_modules,
                     config.sim);
-  second.restore(path, stamp);
+  second.restore_state(decode_checkpoint(*text, stamp).state);
   for (std::size_t t = cut; t < trace.num_steps(); ++t) {
     second.step(sample_at(trace, t));
   }
@@ -322,12 +327,9 @@ TEST(Stepper, SaveRestoreRoundTripsThroughDisk) {
   // A different configuration must refuse the same file.
   StreamConfig other = config;
   other.control_period_s *= 2.0;
-  const auto third_controller = make_stream_controller(other);
-  SimStepper third(*third_controller, other.dt_s, other.num_modules,
-                   other.sim);
-  EXPECT_THROW(third.restore(path, stream_config_fingerprint_text(other)),
+  EXPECT_THROW(decode_checkpoint(*text, stream_config_fingerprint_text(other)),
                std::runtime_error);
-  EXPECT_THROW(third.restore(path + ".missing", stamp), std::runtime_error);
+  EXPECT_FALSE(util::read_file_if_exists(path + ".missing").has_value());
   std::remove(path.c_str());
 }
 

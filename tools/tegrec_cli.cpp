@@ -169,7 +169,17 @@ sim::ServiceOptions service_options(const FlagMap& flags,
   sim::ServiceOptions options;
   options.num_workers = num_workers;
   options.cache_dir = flag_or(flags, "cache", "");
+  options.cache_max_bytes = flag_u64(flags, "cache-max-bytes", 0);
   return options;
+}
+
+/// A flag the chosen mode would ignore is an error naming it, never a
+/// silent no-op.
+void reject_flags(const FlagMap& flags, const std::vector<std::string>& keys,
+                  const std::string& why) {
+  for (const std::string& key : keys) {
+    if (flags.count(key)) throw std::invalid_argument("--" + key + " " + why);
+  }
 }
 
 // --------------------------------------------------------------- commands
@@ -247,16 +257,14 @@ int cmd_simulate(const FlagMap& flags) {
   spec.comparison.sim.ehtr_max_groups =
       flag_size(flags, "max-groups", spec.comparison.sim.ehtr_max_groups);
   if (flags.count("scheme")) {  // only an explicit flag overrides the spec
-    const std::string& scheme = flags.at("scheme");
-    spec.comparison.include_dnor = scheme == "dnor" || scheme == "all";
-    spec.comparison.include_inor = scheme == "inor" || scheme == "all";
-    spec.comparison.include_ehtr = scheme == "ehtr" || scheme == "all";
-    spec.comparison.include_baseline = scheme == "baseline" || scheme == "all";
-    if (!spec.comparison.include_dnor && !spec.comparison.include_inor &&
-        !spec.comparison.include_ehtr && !spec.comparison.include_baseline) {
-      std::fprintf(stderr, "unknown scheme '%s'\n", scheme.c_str());
-      return 1;
-    }
+    const bool all = flags.at("scheme") == "all";
+    const auto scheme = all ? sim::StreamScheme::kDnor
+                            : sim::parse_stream_scheme(flags.at("scheme"));
+    spec.comparison.include_dnor = all || scheme == sim::StreamScheme::kDnor;
+    spec.comparison.include_inor = all || scheme == sim::StreamScheme::kInor;
+    spec.comparison.include_ehtr = all || scheme == sim::StreamScheme::kEhtr;
+    spec.comparison.include_baseline =
+        all || scheme == sim::StreamScheme::kBaseline;
   }
 
   sim::ExperimentService service(service_options(flags, /*num_workers=*/1));
@@ -878,7 +886,12 @@ int cmd_batch(const FlagMap& flags) {
   const std::vector<std::string> files = collect_spec_files(specs);
 
   if (flags.count("spool") != 0) {
+    reject_flags(flags, {"jobs"}, "does not apply with --spool");
     return cmd_batch_spool(flags, files, as_json);
+  }
+  reject_flags(flags, {"wait-ms", "stale-ms", "max-attempts"}, "needs --spool");
+  if (flags.count("cache") == 0) {
+    reject_flags(flags, {"cache-max-bytes"}, "needs --cache");
   }
 
   sim::ExperimentService service(
@@ -1014,10 +1027,10 @@ void usage() {
                "[--first-seed S]\n"
                "                      [--modules N] [--duration T] "
                "[--threads W] [--cache DIR]\n"
-               "  tegrec_cli batch    --specs DIR-or-FILE [--jobs J] "
-               "[--cache DIR] [--json]\n"
-               "                      [--spool DIR --cache DIR [--wait-ms T] "
-               "[--stale-ms T] [--max-attempts N] [--cache-max-bytes B]]\n"
+               "  tegrec_cli batch    --specs DIR-or-FILE [--json] [--jobs J] "
+               "[--cache DIR [--cache-max-bytes B]]\n"
+               "                      | --spool DIR --cache DIR [--wait-ms T] "
+               "[--stale-ms T] [--max-attempts N] [--cache-max-bytes B]\n"
                "  tegrec_cli worker   --spool DIR --cache DIR [--owner ID] "
                "[--poll-ms T]\n"
                "                      [--heartbeat-ms T] [--stale-ms T] "
