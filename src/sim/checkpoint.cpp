@@ -1,9 +1,9 @@
 #include "sim/checkpoint.hpp"
 
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,15 +29,25 @@ constexpr const char* kMagic = "# tegrec-checkpoint v1";
 // exact precision, so every double round-trips bit-exactly and a restored
 // run continues the original stream bit for bit.
 
-void emit_kv(std::ostringstream& os, const std::string& key,
+void emit_kv(std::string& out, const std::string& key,
              const std::string& value) {
-  os << key << " = " << value << '\n';
+  out += key;
+  out += " = ";
+  out += value;
+  out += '\n';
 }
 
-void emit_double(std::ostringstream& os, const std::string& key, double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  emit_kv(os, key, buffer);
+void emit_double(std::string& out, const std::string& key, double v) {
+  out += key;
+  out += " = ";
+  detail::append_exact(out, v);
+  out += '\n';
+}
+
+std::size_t count_lines(const std::string& text) {
+  std::size_t lines = 0;
+  for (const char c : text) lines += c == '\n' ? 1 : 0;
+  return lines;
 }
 
 std::string expect_kv(detail::ArtifactReader& reader, const std::string& key) {
@@ -98,62 +108,93 @@ std::unique_ptr<core::Reconfigurer> make_stream_controller(
 }
 
 std::string stream_config_fingerprint_text(const StreamConfig& config) {
-  std::ostringstream os;
-  emit_kv(os, "scheme", stream_scheme_name(config.scheme));
-  emit_double(os, "control_period_s", config.control_period_s);
-  emit_double(os, "dt_s", config.dt_s);
-  emit_kv(os, "num_modules", std::to_string(config.num_modules));
+  std::string out;
+  emit_kv(out, "scheme", stream_scheme_name(config.scheme));
+  emit_double(out, "control_period_s", config.control_period_s);
+  emit_double(out, "dt_s", config.dt_s);
+  emit_kv(out, "num_modules", std::to_string(config.num_modules));
   // The physics options reuse the experiment-spec bindings (execution
   // hints excluded there), one "sim." prefix per line.
   std::istringstream sim_lines(simulation_options_fingerprint_text(config.sim));
   std::string line;
   while (std::getline(sim_lines, line)) {
-    os << "sim." << line << '\n';
+    out += "sim." + line + '\n';
   }
-  return os.str();
+  return out;
+}
+
+template <typename T, typename Format>
+void CheckpointEncoder::Memo::sync(const std::vector<T>& items,
+                                   Format format) {
+  bool stale = items.size() < done;
+  if (!stale && done > 0) {
+    std::string last;
+    format(last, items[done - 1]);
+    stale = text.compare(last_at, std::string::npos, last) != 0;
+  }
+  if (stale) *this = Memo{};
+  for (std::size_t i = done; i < items.size(); ++i) {
+    const std::size_t at = text.size();
+    format(text, items[i]);  // throws before appending, if at all
+    last_at = at;
+    done = i + 1;
+  }
 }
 
 // Field-complete serialisation of StepperState — the tegrec_lint
 // cache-key rule cross-checks it (and StreamConfig) against this file.
-std::string encode_checkpoint(const StepperState& state,
-                              const std::string& fingerprint_text,
-                              const std::vector<std::string>& extra_lines) {
-  for (const std::string& line : extra_lines) {
+std::string CheckpointEncoder::encode(
+    const StepperState& state, const std::string& fingerprint_text,
+    const std::vector<std::string>& extra_lines) {
+  rows_.sync(state.partial.steps, detail::append_step_row);
+  lines_.sync(extra_lines, [](std::string& out, const std::string& line) {
     if (line.find('\n') != std::string::npos) {
       throw std::invalid_argument(
           "encode_checkpoint: extra line contains a newline");
     }
-  }
-  std::ostringstream os;
-  os << kMagic << '\n';
-  std::size_t fp_lines = 0;
-  for (const char c : fingerprint_text) fp_lines += c == '\n' ? 1 : 0;
-  os << "# config lines = " << fp_lines << '\n' << fingerprint_text;
+    out += line;
+    out += '\n';
+  });
 
-  emit_kv(os, "steps_consumed", std::to_string(state.steps_consumed));
-  emit_double(os, "total_compute_s", state.total_compute_s);
-  emit_kv(os, "has_fabric", state.has_fabric ? "1" : "0");
+  std::string head = kMagic;
+  head += "\n# config lines = " + std::to_string(count_lines(fingerprint_text)) +
+          '\n';
+  head += fingerprint_text;
+  emit_kv(head, "steps_consumed", std::to_string(state.steps_consumed));
+  emit_double(head, "total_compute_s", state.total_compute_s);
+  emit_kv(head, "has_fabric", state.has_fabric ? "1" : "0");
   std::string starts;
   for (std::size_t i = 0; i < state.fabric_group_starts.size(); ++i) {
     if (i > 0) starts += ',';
     starts += std::to_string(state.fabric_group_starts[i]);
   }
-  emit_kv(os, "fabric_group_starts", starts);
-  emit_double(os, "battery_soc", state.battery_soc);
-  emit_double(os, "battery_energy_j", state.battery_energy_j);
+  emit_kv(head, "fabric_group_starts", starts);
+  emit_double(head, "battery_soc", state.battery_soc);
+  emit_double(head, "battery_energy_j", state.battery_energy_j);
+  head += "# controller lines = " +
+          std::to_string(count_lines(state.controller_state)) + '\n';
+  head += state.controller_state;
+  emit_kv(head, "algorithm", state.partial.algorithm);
+  detail::emit_run_tables_head(head, state.partial, rows_.done);
+  const std::string extra_head =
+      "# extra lines = " + std::to_string(lines_.done) + '\n';
+  constexpr std::string_view kEnd = "# end\n";
 
-  std::size_t blob_lines = 0;
-  for (const char c : state.controller_state) blob_lines += c == '\n' ? 1 : 0;
-  os << "# controller lines = " << blob_lines << '\n'
-     << state.controller_state;
+  std::string out;
+  out.reserve(head.size() + rows_.text.size() + extra_head.size() +
+              lines_.text.size() + kEnd.size());
+  out += head;
+  out += rows_.text;
+  out += extra_head;
+  out += lines_.text;
+  out += kEnd;
+  return out;
+}
 
-  emit_kv(os, "algorithm", state.partial.algorithm);
-  detail::emit_run_tables(os, state.partial);
-
-  os << "# extra lines = " << extra_lines.size() << '\n';
-  for (const std::string& line : extra_lines) os << line << '\n';
-  os << "# end\n";
-  return os.str();
+std::string encode_checkpoint(const StepperState& state,
+                              const std::string& fingerprint_text,
+                              const std::vector<std::string>& extra_lines) {
+  return CheckpointEncoder{}.encode(state, fingerprint_text, extra_lines);
 }
 
 namespace {

@@ -8,6 +8,14 @@
 // tables at exact precision), published exclusively through
 // util::atomic_write_file so a reader can never observe a torn file.
 //
+// Cost: the file holds the whole step table and log, so it is
+// O(history).  Both only grow while a stepper runs, so CheckpointEncoder
+// keeps the text of the step rows and lines it has already written and
+// formats only those added since its previous encode(); the rest of the
+// file (stamp, scalars, controller blob, summary, counts) is small and
+// rebuilt each time.  encode_checkpoint is a fresh encoder, so there is
+// one serialiser and its bytes do not depend on the memo.
+//
 // Every checkpoint embeds the *configuration stamp* of the run that wrote
 // it: the StreamConfig's canonical fingerprint text, verbatim.  decode
 // compares that text (not just a hash) against the resuming run's stamp
@@ -77,6 +85,36 @@ struct DecodedCheckpoint {
 std::string encode_checkpoint(const StepperState& state,
                               const std::string& fingerprint_text,
                               const std::vector<std::string>& extra_lines = {});
+
+/// encode_checkpoint for a series of checkpoints of one stepper: each
+/// encode() returns the same bytes, but formats only the step rows and
+/// extra lines added since the previous call.  The memo is valid while
+/// the stepper has only stepped and the lines have only been appended to
+/// between calls; build a fresh encoder when the stepper is rebuilt or
+/// restored.  As a guard, a shrunk table or log, or a last memoised row
+/// or line that no longer matches, re-encodes from scratch.  Only the new
+/// lines are checked for newlines.
+class CheckpointEncoder {
+ public:
+  std::string encode(const StepperState& state,
+                     const std::string& fingerprint_text,
+                     const std::vector<std::string>& extra_lines = {});
+
+ private:
+  /// The encoded text of items [0, done) of an append-only sequence.
+  struct Memo {
+    std::string text;
+    std::size_t done = 0;
+    std::size_t last_at = 0;  ///< offset of item done - 1 in text
+
+    /// Catches `items` up; `format` appends one item's text.
+    template <typename T, typename Format>
+    void sync(const std::vector<T>& items, Format format);
+  };
+
+  Memo rows_;
+  Memo lines_;
+};
 
 /// Parses a checkpoint and verifies its embedded stamp equals
 /// `expected_fingerprint_text`.  Throws std::runtime_error on bad magic,

@@ -1,6 +1,9 @@
 #include "sim/result_io.hpp"
 
-#include <sstream>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -46,10 +49,10 @@ util::CsvTable ArtifactReader::read_table() {
   return table;
 }
 
-double ArtifactReader::cell(const util::CsvTable& table, std::size_t row,
-                            const std::string& name) const {
+std::size_t ArtifactReader::column(const util::CsvTable& table,
+                                   const std::string& name) const {
   for (std::size_t c = 0; c < table.header.size(); ++c) {
-    if (table.header[c] == name) return table.rows.at(row).at(c);
+    if (table.header[c] == name) return c;
   }
   fail("missing column " + name);
 }
@@ -58,49 +61,78 @@ void ArtifactReader::fail(const std::string& detail) const {
   throw std::runtime_error(what_ + ": " + detail);
 }
 
-void emit_table(std::ostream& os, const util::CsvTable& table) {
-  os << "# table rows = " << table.rows.size() << '\n'
-     << util::csv_to_string(table, util::kCsvExactPrecision);
+void append_exact(std::string& out, double v) {
+  // to_chars(general, 17) is defined as printf("%.17g") in the C locale.
+  char buffer[32];
+  const std::to_chars_result r = std::to_chars(
+      buffer, buffer + sizeof(buffer), v, std::chars_format::general,
+      util::kCsvExactPrecision);
+  out.append(buffer, r.ptr);
+}
+
+namespace {
+
+// One comma-separated, newline-ended row at exact precision, NaN as an
+// empty cell: csv_to_string's spelling of a multi-column row.
+void append_row(std::string& out, std::span<const double> cells) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0) out += ',';
+    if (!std::isnan(cells[i])) append_exact(out, cells[i]);
+  }
+  out += '\n';
+}
+
+}  // namespace
+
+void emit_table(std::string& out, const util::CsvTable& table) {
+  out += "# table rows = " + std::to_string(table.rows.size()) + '\n';
+  out += util::csv_to_string(table, util::kCsvExactPrecision);
 }
 
 // Field-complete serialisation of SimulationResult and StepRecord — the
 // tegrec_lint cache-key rule cross-checks both structs against this file,
 // so growing either without extending the codec fails the lint gate.
-void emit_run_tables(std::ostream& os, const SimulationResult& run) {
-  util::CsvTable summary;
-  summary.header = {"energy_output_j",   "switch_overhead_j",
-                    "avg_runtime_ms",    "runtime_per_invocation_ms",
-                    "ideal_energy_j",    "num_invocations",
-                    "num_switch_events", "total_switch_actuations",
-                    "battery_energy_j",  "final_soc"};
-  summary.rows.push_back(
-      {run.energy_output_j, run.switch_overhead_j, run.avg_runtime_ms,
-       run.runtime_per_invocation_ms, run.ideal_energy_j,
-       static_cast<double>(run.num_invocations),
-       static_cast<double>(run.num_switch_events),
-       static_cast<double>(run.total_switch_actuations), run.battery_energy_j,
-       run.final_soc});
-  emit_table(os, summary);
+void append_step_row(std::string& out, const StepRecord& step) {
+  const double cells[] = {step.time_s, step.gross_power_w, step.net_power_w,
+                          step.ideal_power_w, step.invoked ? 1.0 : 0.0,
+                          step.switched ? 1.0 : 0.0,
+                          static_cast<double>(step.switch_actuations),
+                          step.overhead_energy_j, step.compute_time_s};
+  append_row(out, cells);
+}
 
-  util::CsvTable steps;
-  steps.header = {"time_s",  "gross_power_w",     "net_power_w",
-                  "ideal_power_w", "invoked",     "switched",
-                  "switch_actuations", "overhead_energy_j", "compute_time_s"};
-  for (const StepRecord& s : run.steps) {
-    steps.rows.push_back({s.time_s, s.gross_power_w, s.net_power_w,
-                          s.ideal_power_w, s.invoked ? 1.0 : 0.0,
-                          s.switched ? 1.0 : 0.0,
-                          static_cast<double>(s.switch_actuations),
-                          s.overhead_energy_j, s.compute_time_s});
-  }
-  emit_table(os, steps);
+void emit_run_tables_head(std::string& out, const SimulationResult& run,
+                          std::size_t step_rows) {
+  out +=
+      "# table rows = 1\n"
+      "energy_output_j,switch_overhead_j,avg_runtime_ms,"
+      "runtime_per_invocation_ms,ideal_energy_j,num_invocations,"
+      "num_switch_events,total_switch_actuations,battery_energy_j,"
+      "final_soc\n";
+  const double summary[] = {
+      run.energy_output_j, run.switch_overhead_j, run.avg_runtime_ms,
+      run.runtime_per_invocation_ms, run.ideal_energy_j,
+      static_cast<double>(run.num_invocations),
+      static_cast<double>(run.num_switch_events),
+      static_cast<double>(run.total_switch_actuations), run.battery_energy_j,
+      run.final_soc};
+  append_row(out, summary);
+  out += "# table rows = " + std::to_string(step_rows) +
+         "\n"
+         "time_s,gross_power_w,net_power_w,ideal_power_w,invoked,switched,"
+         "switch_actuations,overhead_energy_j,compute_time_s\n";
+}
+
+void emit_run_tables(std::string& out, const SimulationResult& run) {
+  emit_run_tables_head(out, run, run.steps.size());
+  for (const StepRecord& step : run.steps) append_step_row(out, step);
 }
 
 void read_run_tables(ArtifactReader& reader, SimulationResult& run) {
   const util::CsvTable summary = reader.read_table();
   if (summary.rows.size() != 1) reader.fail("bad summary table");
   const auto sum = [&](const std::string& name) {
-    return reader.cell(summary, 0, name);
+    return summary.rows[0][reader.column(summary, name)];
   };
   run.energy_output_j = sum("energy_output_j");
   run.switch_overhead_j = sum("switch_overhead_j");
@@ -115,22 +147,32 @@ void read_run_tables(ArtifactReader& reader, SimulationResult& run) {
   run.final_soc = sum("final_soc");
 
   const util::CsvTable steps = reader.read_table();
+  const auto col = [&](const std::string& name) {
+    return reader.column(steps, name);
+  };
+  const std::size_t time = col("time_s");
+  const std::size_t gross = col("gross_power_w");
+  const std::size_t net = col("net_power_w");
+  const std::size_t ideal = col("ideal_power_w");
+  const std::size_t invoked = col("invoked");
+  const std::size_t switched = col("switched");
+  const std::size_t actuations = col("switch_actuations");
+  const std::size_t overhead = col("overhead_energy_j");
+  const std::size_t compute = col("compute_time_s");
   run.steps.resize(steps.rows.size());
   for (std::size_t i = 0; i < steps.rows.size(); ++i) {
-    const auto col = [&](const std::string& name) {
-      return reader.cell(steps, i, name);
-    };
+    const std::vector<double>& row = steps.rows[i];
     StepRecord& s = run.steps[i];
-    s.time_s = col("time_s");
-    s.gross_power_w = col("gross_power_w");
-    s.net_power_w = col("net_power_w");
-    s.ideal_power_w = col("ideal_power_w");
+    s.time_s = row[time];
+    s.gross_power_w = row[gross];
+    s.net_power_w = row[net];
+    s.ideal_power_w = row[ideal];
     // 0/1 flags round-tripped at exact precision: bit-value compare.
-    s.invoked = !util::is_exactly_zero(col("invoked"));
-    s.switched = !util::is_exactly_zero(col("switched"));
-    s.switch_actuations = static_cast<std::size_t>(col("switch_actuations"));
-    s.overhead_energy_j = col("overhead_energy_j");
-    s.compute_time_s = col("compute_time_s");
+    s.invoked = !util::is_exactly_zero(row[invoked]);
+    s.switched = !util::is_exactly_zero(row[switched]);
+    s.switch_actuations = static_cast<std::size_t>(row[actuations]);
+    s.overhead_energy_j = row[overhead];
+    s.compute_time_s = row[compute];
   }
 }
 
@@ -174,31 +216,49 @@ ExperimentResult decode_or_throw(const std::string& text,
   } else if (kind == "montecarlo") {
     out.kind = ExperimentKind::kMonteCarlo;
     const util::CsvTable samples = reader.read_table();
+    const auto col = [&](const char* name) {
+      return reader.column(samples, name);
+    };
+    const std::size_t seed_hi = col("seed_hi");
+    const std::size_t seed_lo = col("seed_lo");
+    const std::size_t dnor = col("dnor_energy_j");
+    const std::size_t baseline = col("baseline_energy_j");
+    const std::size_t gain = col("gain");
+    const std::size_t overhead = col("dnor_overhead_j");
+    const std::size_t switches = col("dnor_switches");
     out.monte_carlo.samples.resize(samples.rows.size());
     for (std::size_t i = 0; i < samples.rows.size(); ++i) {
+      const std::vector<double>& row = samples.rows[i];
       MonteCarloSample& s = out.monte_carlo.samples[i];
-      const auto half = [&](const char* name) {
-        return static_cast<std::uint64_t>(reader.cell(samples, i, name));
-      };
-      s.seed = (half("seed_hi") << 32) | half("seed_lo");
-      s.dnor_energy_j = reader.cell(samples, i, "dnor_energy_j");
-      s.baseline_energy_j = reader.cell(samples, i, "baseline_energy_j");
-      s.gain = reader.cell(samples, i, "gain");
-      s.dnor_overhead_j = reader.cell(samples, i, "dnor_overhead_j");
-      s.dnor_switches = reader.cell(samples, i, "dnor_switches");
+      s.seed = (static_cast<std::uint64_t>(row[seed_hi]) << 32) |
+               static_cast<std::uint64_t>(row[seed_lo]);
+      s.dnor_energy_j = row[dnor];
+      s.baseline_energy_j = row[baseline];
+      s.gain = row[gain];
+      s.dnor_overhead_j = row[overhead];
+      s.dnor_switches = row[switches];
     }
     detail::fold_monte_carlo_stats(out.monte_carlo);
   } else if (kind == "sweep") {
     out.kind = ExperimentKind::kSweep;
     const util::CsvTable points = reader.read_table();
+    const auto col = [&](const char* name) {
+      return reader.column(points, name);
+    };
+    const std::size_t value = col("value");
+    const std::size_t dnor = col("dnor_energy_j");
+    const std::size_t baseline = col("baseline_energy_j");
+    const std::size_t gain = col("gain");
+    const std::size_t ratio = col("dnor_ratio_to_ideal");
     out.sweep.resize(points.rows.size());
     for (std::size_t i = 0; i < points.rows.size(); ++i) {
+      const std::vector<double>& row = points.rows[i];
       SweepPoint& p = out.sweep[i];
-      p.value = reader.cell(points, i, "value");
-      p.dnor_energy_j = reader.cell(points, i, "dnor_energy_j");
-      p.baseline_energy_j = reader.cell(points, i, "baseline_energy_j");
-      p.gain = reader.cell(points, i, "gain");
-      p.dnor_ratio_to_ideal = reader.cell(points, i, "dnor_ratio_to_ideal");
+      p.value = row[value];
+      p.dnor_energy_j = row[dnor];
+      p.baseline_energy_j = row[baseline];
+      p.gain = row[gain];
+      p.dnor_ratio_to_ideal = row[ratio];
     }
   } else {
     reader.fail("unknown kind " + kind);
@@ -211,26 +271,27 @@ ExperimentResult decode_or_throw(const std::string& text,
 
 std::string encode_result(const ExperimentResult& result,
                           const std::string& fingerprint_text) {
-  std::ostringstream os;
-  os << kMagic << '\n';
+  std::string out = kMagic;
   std::size_t fp_lines = 0;
   for (const char c : fingerprint_text) fp_lines += c == '\n' ? 1 : 0;
+  const auto head = [&](const char* kind) {
+    out += "\n# kind = ";
+    out += kind;
+    out += "\n# fingerprint-lines = " + std::to_string(fp_lines) + '\n';
+    out += fingerprint_text;
+  };
   switch (result.kind) {
     case ExperimentKind::kComparison: {
-      os << "# kind = comparison\n"
-         << "# fingerprint-lines = " << fp_lines << '\n'
-         << fingerprint_text;
-      os << "# runs = " << result.comparison.runs.size() << '\n';
+      head("comparison");
+      out += "# runs = " + std::to_string(result.comparison.runs.size()) + '\n';
       for (const SimulationResult& run : result.comparison.runs) {
-        os << "# run algorithm = " << run.algorithm << '\n';
-        detail::emit_run_tables(os, run);
+        out += "# run algorithm = " + run.algorithm + '\n';
+        detail::emit_run_tables(out, run);
       }
       break;
     }
     case ExperimentKind::kMonteCarlo: {
-      os << "# kind = montecarlo\n"
-         << "# fingerprint-lines = " << fp_lines << '\n'
-         << fingerprint_text;
+      head("montecarlo");
       util::CsvTable samples;
       // Seeds are u64; CSV cells are doubles, which are only exact to
       // 2^53, so the seed travels as two 32-bit halves.
@@ -244,13 +305,11 @@ std::string encode_result(const ExperimentResult& result,
                                 s.dnor_energy_j, s.baseline_energy_j, s.gain,
                                 s.dnor_overhead_j, s.dnor_switches});
       }
-      detail::emit_table(os, samples);
+      detail::emit_table(out, samples);
       break;
     }
     case ExperimentKind::kSweep: {
-      os << "# kind = sweep\n"
-         << "# fingerprint-lines = " << fp_lines << '\n'
-         << fingerprint_text;
+      head("sweep");
       util::CsvTable points;
       points.header = {"value", "dnor_energy_j", "baseline_energy_j", "gain",
                        "dnor_ratio_to_ideal"};
@@ -258,12 +317,12 @@ std::string encode_result(const ExperimentResult& result,
         points.rows.push_back({p.value, p.dnor_energy_j, p.baseline_energy_j,
                                p.gain, p.dnor_ratio_to_ideal});
       }
-      detail::emit_table(os, points);
+      detail::emit_table(out, points);
       break;
     }
   }
-  os << "# end\n";
-  return os.str();
+  out += "# end\n";
+  return out;
 }
 
 std::optional<ExperimentResult> decode_result(

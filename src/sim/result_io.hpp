@@ -19,6 +19,7 @@
 // store removing such artifacts on detection (self-healing).
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -63,9 +64,10 @@ class ArtifactReader {
   std::string expect_prefix(const std::string& prefix);
   /// Reads one table written by emit_table.
   util::CsvTable read_table();
-  /// The named column's value in `row`.
-  double cell(const util::CsvTable& table, std::size_t row,
-              const std::string& name) const;
+  /// Index of the named column; throws when `table` has no such column.
+  /// Decoders resolve each column once per table, not once per cell.
+  std::size_t column(const util::CsvTable& table,
+                     const std::string& name) const;
   /// Throws std::runtime_error("<what>: <detail>").
   [[noreturn]] void fail(const std::string& detail) const;
 
@@ -74,11 +76,27 @@ class ArtifactReader {
   std::string what_;
 };
 
-void emit_table(std::ostream& os, const util::CsvTable& table);
+/// Appends `v` at exact precision: the text of printf("%.17g"), which
+/// round-trips every double bit-exactly.
+void append_exact(std::string& out, double v);
 
-/// Writes a run's summary table, then its step table (every field of
+/// Appends `# table rows = N` and the table in csv_to_string's dialect.
+void emit_table(std::string& out, const util::CsvTable& table);
+
+/// Appends one row of the step table emit_run_tables writes.  The
+/// checkpoint encoder (sim/checkpoint.hpp) memoises these rows, so this is
+/// the one spelling of a StepRecord on disk.
+void append_step_row(std::string& out, const StepRecord& step);
+
+/// Appends everything emit_run_tables writes before the first step row:
+/// the summary table, then the step table's `# table rows = N` line and
+/// header, with N = `step_rows`.
+void emit_run_tables_head(std::string& out, const SimulationResult& run,
+                          std::size_t step_rows);
+
+/// Appends a run's summary table, then its step table (every field of
 /// SimulationResult but `algorithm`, which the caller frames itself).
-void emit_run_tables(std::ostream& os, const SimulationResult& run);
+void emit_run_tables(std::string& out, const SimulationResult& run);
 
 /// Reads the two tables emit_run_tables wrote into `run`.
 void read_run_tables(ArtifactReader& reader, SimulationResult& run);

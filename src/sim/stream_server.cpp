@@ -130,6 +130,9 @@ void StreamServer::run_array(StreamArrayOptions& array,
   std::vector<std::string> log_lines;  // full decision log incl. restored
   bool checkpointing = !array.checkpoint_path.empty();
   std::size_t steps_at_checkpoint = 0;
+  // Valid for one stepper that only steps and one log that only grows, so
+  // build() (which a restore also goes through) makes a fresh one.
+  CheckpointEncoder encoder;
 
   // Builds controller + stepper once dt and module count are known.
   const auto build = [&] {
@@ -137,6 +140,7 @@ void StreamServer::run_array(StreamArrayOptions& array,
     controller = make_stream_controller(config);
     stepper = std::make_unique<SimStepper>(*controller, config.dt_s,
                                            config.num_modules, config.sim);
+    encoder = CheckpointEncoder{};
     if (checkpointing && !stepper->checkpointable()) {
       emitter_->warn("array '" + array.name + "': controller '" +
                      controller->name() +
@@ -154,7 +158,7 @@ void StreamServer::run_array(StreamArrayOptions& array,
     if (!checkpointing || !stepper) return;
     try {
       const std::string content =
-          encode_checkpoint(stepper->state(), fingerprint_text, log_lines);
+          encoder.encode(stepper->state(), fingerprint_text, log_lines);
       util::AtomicWriteOptions write_options;
       write_options.fault_site = "stream.checkpoint";
       write_options.faults = array.faults;

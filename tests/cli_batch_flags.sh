@@ -7,8 +7,11 @@
 #            flag named on stderr, before any job runs;
 #   cap    — without --spool, --cache-max-bytes reaches the service's disk
 #            cache: a 1-byte cap evicts every artifact the run publishes.
+#   scheme — `simulate --scheme` with an unknown name exits non-zero with
+#            an error that names `simulate` and every accepted value,
+#            `all` included.
 #
-# Usage: cli_batch_flags.sh <path-to-tegrec_cli> <spec-file> reject|cap
+# Usage: cli_batch_flags.sh <path-to-tegrec_cli> <spec-file> reject|cap|scheme
 set -eu
 
 CLI=$1
@@ -52,9 +55,22 @@ case $3 in
       exit 1
     fi
     ;;
+  scheme)
+    if "$CLI" simulate --spec "$SPEC" --scheme foo >"$WORK/out" 2>"$WORK/err"; then
+      echo "FAIL: simulate --scheme foo exited 0" >&2
+      exit 1
+    fi
+    for word in simulate "'foo'" dnor inor ehtr baseline all; do
+      if ! grep -q -- "$word" "$WORK/err"; then
+        echo "FAIL: simulate --scheme foo did not name $word:" >&2
+        cat "$WORK/err" >&2
+        exit 1
+      fi
+    done
+    ;;
   *)
-    echo "usage: cli_batch_flags.sh <tegrec_cli> <spec-file> reject|cap" >&2
+    echo "usage: cli_batch_flags.sh <tegrec_cli> <spec-file> reject|cap|scheme" >&2
     exit 2
     ;;
 esac
-echo "OK: batch $3"
+echo "OK: $3"

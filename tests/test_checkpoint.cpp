@@ -8,17 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/stepper.hpp"
 #include "thermal/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/fault.hpp"
+#include "util/rng.hpp"
 
 namespace tegrec::sim {
 namespace {
@@ -170,6 +173,132 @@ TEST(Checkpoint, TruncatedAndCorruptArtifactsAreLoud) {
   ASSERT_NE(pos, std::string::npos);
   inconsistent.replace(pos, 18, "steps_consumed = 6");
   EXPECT_THROW(decode_checkpoint(inconsistent, stamp), std::runtime_error);
+  // A renamed step-table column is named in the error.
+  std::string renamed = text;
+  const std::size_t column = renamed.find(",net_power_w,");
+  ASSERT_NE(column, std::string::npos);
+  renamed.replace(column, 13, ",net_power_x,");
+  try {
+    decode_checkpoint(renamed, stamp);
+    ADD_FAILURE() << "a missing column decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("missing column net_power_w"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// ------------------------------------------------------ incremental encoder
+
+/// A carry-along line that exercises the CSV and JSON metacharacters.
+std::string random_line(util::Rng& rng) {
+  static const char* const kPieces[] = {"a", ",", "\"", "\\", "{}", " ", "7"};
+  std::string line = R"({"event":")";
+  const int n = rng.uniform_int(0, 12);
+  for (int i = 0; i < n; ++i) line += kPieces[rng.uniform_int(0, 6)];
+  return line + "\"}";
+}
+
+// The memoised encoder must write, at every call, exactly the bytes of a
+// fresh encode_checkpoint of the same state — across steps, log appends,
+// repeated encodes with nothing new, and restores to earlier snapshots.
+// After a restore the encoder is either kept (only when both the table and
+// the log shrank, which the staleness guard must notice) or rebuilt, as the
+// stream server does.
+TEST(CheckpointEncoder, MatchesOneShotEncodeThroughRandomHistories) {
+  thermal::TraceGeneratorConfig trace_config;
+  trace_config.layout.num_modules = 12;
+  trace_config.segments = {
+      {thermal::DriveSegment::Kind::kUrban, 40.0, 32.0, 0.0}};
+  trace_config.seed = 21;
+  const auto trace = thermal::generate_trace(trace_config);
+  StreamConfig config = test_config(trace);
+  config.scheme = StreamScheme::kDnor;
+  const std::string stamp = stream_config_fingerprint_text(config);
+
+  std::size_t kept_restores = 0;  // the guard's path, summed over seeds
+  std::size_t fresh_restores = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Rng rng(seed);
+    SteppedRun run = make_run(config, trace, 0);
+    std::vector<std::string> log;
+    std::vector<std::pair<StepperState, std::vector<std::string>>> snapshots;
+    CheckpointEncoder encoder;
+    std::size_t memo_rows = 0;  // rows and lines at the encoder's last call
+    std::size_t memo_lines = 0;
+    std::size_t encodes = 0;
+
+    const auto encode_and_compare = [&](const char* what) {
+      const StepperState state = run.stepper->state();
+      ASSERT_EQ(encoder.encode(state, stamp, log),
+                encode_checkpoint(state, stamp, log))
+          << "seed " << seed << ", " << what << " at "
+          << state.steps_consumed << " steps";
+      memo_rows = state.steps_consumed;
+      memo_lines = log.size();
+      ++encodes;
+    };
+
+    for (int op = 0; op < 160; ++op) {
+      const int kind = rng.uniform_int(0, 9);
+      if (kind <= 3) {
+        const int steps = rng.uniform_int(1, 3);
+        for (int i = 0; i < steps; ++i) {
+          const std::size_t t = run.stepper->steps_consumed();
+          if (t >= trace.num_steps()) break;
+          TraceSample sample;
+          sample.time_s = static_cast<double>(t) * trace.dt_s();
+          sample.module_temps_c = trace.step_temperatures(t);
+          sample.ambient_c = trace.ambient_c(t);
+          run.stepper->step(sample);
+        }
+      } else if (kind == 4) {
+        log.push_back(random_line(rng));
+      } else if (kind == 5) {
+        snapshots.emplace_back(run.stepper->state(), log);
+      } else if (kind <= 7) {
+        encode_and_compare("encode");
+        encode_and_compare("encode with nothing new");
+      } else if (!snapshots.empty()) {
+        const auto& [state, lines] = snapshots[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(snapshots.size()) - 1))];
+        run.stepper->restore_state(state);
+        log = lines;
+        if (state.steps_consumed >= memo_rows || lines.size() >= memo_lines) {
+          encoder = CheckpointEncoder{};
+          ++fresh_restores;
+        } else {
+          ++kept_restores;
+        }
+        encode_and_compare("first encode after a restore");
+      }
+    }
+    encode_and_compare("final encode");
+    EXPECT_GT(encodes, 40u) << "seed " << seed;
+  }
+  EXPECT_GT(kept_restores, 0u);
+  EXPECT_GT(fresh_restores, 0u);
+}
+
+TEST(CheckpointEncoder, NewlineInANewExtraLineStillThrows) {
+  const auto trace = test_trace();
+  const StreamConfig config = test_config(trace);
+  const std::string stamp = stream_config_fingerprint_text(config);
+  SteppedRun run = make_run(config, trace, 4);
+  CheckpointEncoder encoder;
+  std::vector<std::string> log = {"first", "second"};
+  encoder.encode(run.stepper->state(), stamp, log);
+
+  log.push_back("line one\nline two");
+  EXPECT_THROW(encoder.encode(run.stepper->state(), stamp, log),
+               std::invalid_argument);
+  EXPECT_THROW(encode_checkpoint(run.stepper->state(), stamp, log),
+               std::invalid_argument);
+
+  // The failed call left the memo usable.
+  log.back() = "line one";
+  EXPECT_EQ(encoder.encode(run.stepper->state(), stamp, log),
+            encode_checkpoint(run.stepper->state(), stamp, log));
 }
 
 // ------------------------------------------------------------- fault matrix

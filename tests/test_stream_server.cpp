@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -236,6 +237,43 @@ TEST(StreamServer, ResumeReproducesUninterruptedDecisionLog) {
   std::vector<std::string> stitched = restored;
   stitched.insert(stitched.end(), after.lines.begin(), after.lines.end());
   EXPECT_EQ(stitched, full.lines);  // byte-identical to never having died
+  std::remove(ckpt.c_str());
+}
+
+// The server's memoised checkpoint encoder writes the bytes of the
+// one-shot codec: the final file equals encode_checkpoint of the live
+// run's result and decision log, after four saves (every 7 steps, then on
+// exit) that each appended to the memo.
+TEST(StreamServer, FinalCheckpointEqualsOneShotEncode) {
+  const auto trace = test_trace();
+  const std::string csv = trace_csv(trace);
+  const std::string ckpt = testing::TempDir() + "/one_shot.ckpt";
+  std::remove(ckpt.c_str());
+
+  Capture capture;
+  StreamServerOptions options;
+  options.warn = capture.warn();
+  StreamServer server(capture.sink(), options);
+  StreamArrayOptions array;
+  array.config = explicit_config(trace);
+  array.feed = feed_of(csv);
+  array.checkpoint_path = ckpt;
+  array.checkpoint_every_steps = 7;
+  server.add_array(std::move(array));
+  const std::vector<StreamArrayReport> reports = server.run();
+  ASSERT_TRUE(reports[0].error.empty()) << reports[0].error;
+  ASSERT_GT(trace.num_steps(), 21u);
+  ASSERT_FALSE(capture.lines.empty());
+
+  const std::string stamp =
+      stream_config_fingerprint_text(explicit_config(trace));
+  const std::optional<std::string> text = util::read_file_if_exists(ckpt);
+  ASSERT_TRUE(text.has_value());
+  // The scalars and controller blob come from the file; the step table and
+  // the log come from the live run.
+  StepperState state = decode_checkpoint(*text, stamp).state;
+  state.partial = reports[0].result;
+  EXPECT_EQ(*text, encode_checkpoint(state, stamp, capture.lines));
   std::remove(ckpt.c_str());
 }
 

@@ -229,10 +229,8 @@ int cmd_simulate(const FlagMap& flags) {
   const std::string spec_path = flag_or(flags, "spec", "");
   const std::string trace_path = flag_or(flags, "trace", "");
   const std::string scenario_name = flag_or(flags, "scenario", "");
-  if (static_cast<int>(!spec_path.empty()) +
-          static_cast<int>(!trace_path.empty()) +
-          static_cast<int>(!scenario_name.empty()) >
-      1) {
+  if (int{!spec_path.empty()} + int{!trace_path.empty()} +
+          int{!scenario_name.empty()} > 1) {
     throw std::invalid_argument(
         "--spec, --trace and --scenario are mutually exclusive");
   }
@@ -257,14 +255,16 @@ int cmd_simulate(const FlagMap& flags) {
   spec.comparison.sim.ehtr_max_groups =
       flag_size(flags, "max-groups", spec.comparison.sim.ehtr_max_groups);
   if (flags.count("scheme")) {  // only an explicit flag overrides the spec
-    const bool all = flags.at("scheme") == "all";
-    const auto scheme = all ? sim::StreamScheme::kDnor
-                            : sim::parse_stream_scheme(flags.at("scheme"));
-    spec.comparison.include_dnor = all || scheme == sim::StreamScheme::kDnor;
-    spec.comparison.include_inor = all || scheme == sim::StreamScheme::kInor;
-    spec.comparison.include_ehtr = all || scheme == sim::StreamScheme::kEhtr;
-    spec.comparison.include_baseline =
-        all || scheme == sim::StreamScheme::kBaseline;
+    const std::string& s = flags.at("scheme");
+    const bool all = s == "all";
+    if (!all && s != "dnor" && s != "inor" && s != "ehtr" && s != "baseline") {
+      throw std::invalid_argument("simulate: unknown --scheme '" + s +
+                                  "' (expected dnor|inor|ehtr|baseline|all)");
+    }
+    spec.comparison.include_dnor = all || s == "dnor";
+    spec.comparison.include_inor = all || s == "inor";
+    spec.comparison.include_ehtr = all || s == "ehtr";
+    spec.comparison.include_baseline = all || s == "baseline";
   }
 
   sim::ExperimentService service(service_options(flags, /*num_workers=*/1));
