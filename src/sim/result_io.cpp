@@ -1,5 +1,6 @@
 #include "sim/result_io.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -204,8 +205,12 @@ ExperimentResult decode_or_throw(const std::string& text,
   }
 
   ExperimentResult out;
-  if (kind == "comparison") {
-    out.kind = ExperimentKind::kComparison;
+  const auto named = std::find_if(
+      kExperimentKindNames.begin(), kExperimentKindNames.end(),
+      [&](const auto& entry) { return kind == entry.second; });
+  if (named == kExperimentKindNames.end()) reader.fail("unknown kind " + kind);
+  out.kind = named->first;
+  if (out.kind == ExperimentKind::kComparison) {
     const std::size_t num_runs = static_cast<std::size_t>(
         util::parse_u64(reader.expect_prefix("# runs = ")));
     for (std::size_t i = 0; i < num_runs; ++i) {
@@ -213,8 +218,7 @@ ExperimentResult decode_or_throw(const std::string& text,
       run.algorithm = reader.expect_prefix("# run algorithm = ");
       detail::read_run_tables(reader, run);
     }
-  } else if (kind == "montecarlo") {
-    out.kind = ExperimentKind::kMonteCarlo;
+  } else if (out.kind == ExperimentKind::kMonteCarlo) {
     const util::CsvTable samples = reader.read_table();
     const auto col = [&](const char* name) {
       return reader.column(samples, name);
@@ -239,8 +243,7 @@ ExperimentResult decode_or_throw(const std::string& text,
       s.dnor_switches = row[switches];
     }
     detail::fold_monte_carlo_stats(out.monte_carlo);
-  } else if (kind == "sweep") {
-    out.kind = ExperimentKind::kSweep;
+  } else {
     const util::CsvTable points = reader.read_table();
     const auto col = [&](const char* name) {
       return reader.column(points, name);
@@ -260,8 +263,6 @@ ExperimentResult decode_or_throw(const std::string& text,
       p.gain = row[gain];
       p.dnor_ratio_to_ideal = row[ratio];
     }
-  } else {
-    reader.fail("unknown kind " + kind);
   }
   if (reader.next() != "# end") reader.fail("missing terminator");
   return out;
@@ -274,15 +275,12 @@ std::string encode_result(const ExperimentResult& result,
   std::string out = kMagic;
   std::size_t fp_lines = 0;
   for (const char c : fingerprint_text) fp_lines += c == '\n' ? 1 : 0;
-  const auto head = [&](const char* kind) {
-    out += "\n# kind = ";
-    out += kind;
-    out += "\n# fingerprint-lines = " + std::to_string(fp_lines) + '\n';
-    out += fingerprint_text;
-  };
+  out += "\n# kind = ";
+  out += to_string(result.kind);
+  out += "\n# fingerprint-lines = " + std::to_string(fp_lines) + '\n';
+  out += fingerprint_text;
   switch (result.kind) {
     case ExperimentKind::kComparison: {
-      head("comparison");
       out += "# runs = " + std::to_string(result.comparison.runs.size()) + '\n';
       for (const SimulationResult& run : result.comparison.runs) {
         out += "# run algorithm = " + run.algorithm + '\n';
@@ -291,7 +289,6 @@ std::string encode_result(const ExperimentResult& result,
       break;
     }
     case ExperimentKind::kMonteCarlo: {
-      head("montecarlo");
       util::CsvTable samples;
       // Seeds are u64; CSV cells are doubles, which are only exact to
       // 2^53, so the seed travels as two 32-bit halves.
@@ -309,7 +306,6 @@ std::string encode_result(const ExperimentResult& result,
       break;
     }
     case ExperimentKind::kSweep: {
-      head("sweep");
       util::CsvTable points;
       points.header = {"value", "dnor_energy_j", "baseline_energy_j", "gain",
                        "dnor_ratio_to_ideal"};

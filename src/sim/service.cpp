@@ -110,12 +110,15 @@ std::uint64_t JobHandle::id() const { return deref(job_).id; }
 
 // ------------------------------------------------------------------ State
 
-struct ExperimentService::State {
-  explicit State(std::size_t queue_capacity) : queue(queue_capacity) {}
+/// Jobs queued before submit() blocks (backpressure).
+constexpr std::size_t kQueueCapacity = 256;
+/// In-memory result cache capacity in entries (LRU eviction).
+constexpr std::size_t kMemoryCacheEntries = 64;
 
+struct ExperimentService::State {
   /// Internally synchronized (its own mutex + condition variables).
   // tegrec-lint: allow(guarded-member) internally synchronized
-  util::BoundedQueue<std::shared_ptr<detail::Job>> queue;
+  util::BoundedQueue<std::shared_ptr<detail::Job>> queue{kQueueCapacity};
   /// Created by the service constructor before any worker runs, reset
   /// only by the destructor after the queue closed.
   // tegrec-lint: allow(guarded-member) immutable between ctor and dtor
@@ -150,13 +153,6 @@ struct ExperimentService::State {
 };
 
 namespace {
-
-// The annotation is the old "registry lock must be held" comment made
-// machine-checked: callers must hold state.registry_mutex.
-void insert_cache_locked(ExperimentService::State& state, std::size_t capacity,
-                         const detail::Job& job,
-                         const std::shared_ptr<const ExperimentResult>& result)
-    TEGREC_REQUIRES(state.registry_mutex);
 
 void erase_inflight(ExperimentService::State& state,
                     const std::shared_ptr<detail::Job>& job) {
@@ -197,11 +193,12 @@ void store_disk(ArtifactStore& store, const detail::Job& job,
   store.put(job.fingerprint, encode_result(result, job.fingerprint_text));
 }
 
-void insert_cache_locked(ExperimentService::State& state, std::size_t capacity,
+// The annotation is the old "registry lock must be held" comment made
+// machine-checked: callers must hold state.registry_mutex.
+void insert_cache_locked(ExperimentService::State& state,
                          const detail::Job& job,
                          const std::shared_ptr<const ExperimentResult>& result)
     TEGREC_REQUIRES(state.registry_mutex) {
-  if (capacity == 0) return;
   const auto it = state.cache.find(job.fingerprint);
   if (it != state.cache.end()) {
     state.lru.splice(state.lru.begin(), state.lru, it->second.lru_it);
@@ -213,7 +210,7 @@ void insert_cache_locked(ExperimentService::State& state, std::size_t capacity,
   state.cache.emplace(job.fingerprint,
                       ExperimentService::State::CacheEntry{
                           state.lru.begin(), job.fingerprint_text, result});
-  while (state.cache.size() > capacity) {
+  while (state.cache.size() > kMemoryCacheEntries) {
     state.cache.erase(state.lru.back());
     state.lru.pop_back();
   }
@@ -225,7 +222,7 @@ void insert_cache_locked(ExperimentService::State& state, std::size_t capacity,
 
 ExperimentService::ExperimentService(ServiceOptions options)
     : options_(std::move(options)),
-      state_(std::make_unique<State>(options_.queue_capacity)) {
+      state_(std::make_unique<State>()) {
   if (!options_.cache_dir.empty()) {
     ArtifactStoreOptions store_options;
     store_options.dir = options_.cache_dir;
@@ -377,7 +374,7 @@ void ExperimentService::complete_job(
     std::shared_ptr<const ExperimentResult> result, bool from_cache) {
   {
     util::MutexLock lock(state_->registry_mutex);
-    insert_cache_locked(*state_, options_.memory_cache_entries, *job, result);
+    insert_cache_locked(*state_, *job, result);
     const auto it = state_->inflight.find(job->fingerprint);
     if (it != state_->inflight.end() && it->second == job) {
       state_->inflight.erase(it);

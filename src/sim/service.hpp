@@ -36,10 +36,6 @@ namespace tegrec::sim {
 struct ServiceOptions {
   /// Worker threads draining the job queue (0 = one per hardware thread).
   std::size_t num_workers = 0;
-  /// Bounded queue capacity; submit() blocks (backpressure) when full.
-  std::size_t queue_capacity = 256;
-  /// In-memory result cache capacity in entries (LRU eviction; 0 disables).
-  std::size_t memory_cache_entries = 64;
   /// Directory for on-disk artifacts, one `<fingerprint>.csv` per result
   /// (created on demand; empty disables the disk cache).  The disk cache
   /// is strictly best-effort: an unwritable directory or a disk that fills

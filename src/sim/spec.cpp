@@ -252,11 +252,6 @@ std::map<std::string, std::string> split_lines(const std::string& text) {
 
 // -------------------------------------------------------------- bindings
 
-const std::vector<std::pair<ExperimentKind, const char*>> kKindNames = {
-    {ExperimentKind::kComparison, "comparison"},
-    {ExperimentKind::kMonteCarlo, "montecarlo"},
-    {ExperimentKind::kSweep, "sweep"}};
-
 const std::vector<std::pair<TraceSource::Kind, const char*>> kSourceNames = {
     {TraceSource::Kind::kGenerated, "generated"},
     {TraceSource::Kind::kCsvFile, "csv"},
@@ -473,7 +468,7 @@ void bind_spec(FieldIo& io, ExperimentSpec& spec) {
     throw std::invalid_argument("experiment spec: unsupported schema version " +
                                 std::to_string(schema));
   }
-  io.enum_field("kind", spec.kind, kKindNames);
+  io.enum_field("kind", spec.kind, kExperimentKindNames);
   io.enum_field("trace.source", spec.trace.kind, kSourceNames);
   // A named scenario is bound before the trace.gen.* block: parsing
   // resolves the registry entry into the generator config first, so any
@@ -576,6 +571,13 @@ std::string emit_spec(const ExperimentSpec& spec, bool include_exec) {
 }
 
 }  // namespace
+
+const char* to_string(ExperimentKind kind) {
+  for (const auto& [value, name] : kExperimentKindNames) {
+    if (kind == value) return name;
+  }
+  return "unknown";
+}
 
 std::string simulation_options_fingerprint_text(
     const SimulationOptions& options) {

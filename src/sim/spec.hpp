@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.hpp"
@@ -46,6 +47,16 @@ namespace tegrec::sim {
 inline constexpr int kSpecSchemaVersion = 4;
 
 enum class ExperimentKind { kComparison, kMonteCarlo, kSweep };
+
+/// All (kind, canonical name) pairs — the one table the spec's `kind` key,
+/// the result artifact's header and the CLI's batch summary read.
+inline const std::vector<std::pair<ExperimentKind, const char*>>
+    kExperimentKindNames = {{ExperimentKind::kComparison, "comparison"},
+                            {ExperimentKind::kMonteCarlo, "montecarlo"},
+                            {ExperimentKind::kSweep, "sweep"}};
+
+/// Canonical name of an experiment kind ("comparison", "montecarlo", ...).
+const char* to_string(ExperimentKind kind);
 
 /// Where the temperature trace comes from.
 struct TraceSource {

@@ -1,7 +1,9 @@
 #include "util/csv.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -34,18 +36,15 @@ std::vector<std::string> split_cells(std::string line) {
 // them from); anything else must parse as a complete double.
 double parse_cell(const std::string& cell) {
   if (cell.empty()) return std::numeric_limits<double>::quiet_NaN();
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(cell, &consumed);
-  } catch (const std::exception&) {
-    throw std::runtime_error("CSV: non-numeric cell '" + cell + "'");
-  }
-  while (consumed < cell.size() &&
-         (cell[consumed] == ' ' || cell[consumed] == '\t')) {
-    ++consumed;
-  }
-  if (consumed != cell.size()) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(cell.c_str(), &end);
+  const bool parsed = end != cell.c_str();
+  while (*end == ' ' || *end == '\t') ++end;
+  // ERANGE on underflow still yields the correctly rounded subnormal (or
+  // zero) the writer spelled; only overflow is out of range.
+  if (!parsed || end != cell.c_str() + cell.size() ||
+      (errno == ERANGE && std::isinf(value))) {
     throw std::runtime_error("CSV: non-numeric cell '" + cell + "'");
   }
   return value;

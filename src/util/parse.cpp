@@ -32,15 +32,14 @@ std::string trimmed(const std::string& text) {
 double parse_double(const std::string& text) {
   const std::string token = trimmed(text);
   if (token.empty()) fail("a number", text);
-  errno = 0;
   char* end = nullptr;
   const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || errno == ERANGE) {
-    fail("a number", text);
-  }
+  if (end != token.c_str() + token.size()) fail("a number", text);
   // strtod also accepts "nan"/"inf"; a non-finite flag or spec value would
   // sail through downstream range checks (NaN compares false against
-  // everything), so it counts as garbage here.
+  // everything), so it counts as garbage here.  That covers overflow too
+  // (HUGE_VAL); an underflow's ERANGE is ignored, since its result is the
+  // correctly rounded subnormal or zero the codecs wrote.
   if (!std::isfinite(value)) fail("a finite number", text);
   return value;
 }

@@ -10,8 +10,10 @@
 #   scheme — `simulate --scheme` with an unknown name exits non-zero with
 #            an error that names `simulate` and every accepted value,
 #            `all` included.
+#   horizon — `predict --horizon` that is not > 0, or that spans the whole
+#            trace, exits non-zero naming --horizon; a valid one still runs.
 #
-# Usage: cli_batch_flags.sh <path-to-tegrec_cli> <spec-file> reject|cap|scheme
+# Usage: cli_batch_flags.sh <path-to-tegrec_cli> <spec-file> reject|cap|scheme|horizon
 set -eu
 
 CLI=$1
@@ -68,8 +70,24 @@ case $3 in
       fi
     done
     ;;
+  horizon)
+    "$CLI" trace --out "$WORK/t.csv" --seed 3 --modules 8 --duration 60 >/dev/null
+    for h in -5 0 1e30; do
+      if "$CLI" predict --trace "$WORK/t.csv" --horizon "$h" >"$WORK/out" 2>"$WORK/err"; then
+        echo "FAIL: predict --horizon $h exited 0:" >&2
+        cat "$WORK/out" >&2
+        exit 1
+      fi
+      if ! grep -q -- --horizon "$WORK/err"; then
+        echo "FAIL: predict --horizon $h did not name --horizon:" >&2
+        cat "$WORK/err" >&2
+        exit 1
+      fi
+    done
+    "$CLI" predict --trace "$WORK/t.csv" --horizon 2 >/dev/null
+    ;;
   *)
-    echo "usage: cli_batch_flags.sh <tegrec_cli> <spec-file> reject|cap|scheme" >&2
+    echo "usage: cli_batch_flags.sh <tegrec_cli> <spec-file> reject|cap|scheme|horizon" >&2
     exit 2
     ;;
 esac

@@ -5,10 +5,11 @@
 // below are built by hand to hit every awkward double: NaN (an empty
 // cell), +/-inf, -0.0, an exact integer, a subnormal and a value that
 // needs all 17 significant digits; the carry-along lines hold commas and
-// quotes.
+// quotes.  Each golden text must also decode and re-encode to itself.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,69 @@ namespace {
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kSubnormal = std::numeric_limits<double>::denorm_min();
+
+constexpr const char* kCheckpointStamp = "scheme = dnor\ndt_s = 0.5\n";
+const std::string kCheckpointText =
+    "# tegrec-checkpoint v1\n"
+    "# config lines = 2\n"
+    "scheme = dnor\n"
+    "dt_s = 0.5\n"
+    "steps_consumed = 2\n"
+    "total_compute_s = 0.10000000000000001\n"
+    "has_fabric = 1\n"
+    "fabric_group_starts = 0,4,9\n"
+    "battery_soc = 0.25\n"
+    "battery_energy_j = -0\n"
+    "# controller lines = 2\n"
+    "k = v\n"
+    "w = 1e-300\n"
+    "algorithm = DNOR\n"
+    "# table rows = 1\n"
+    "energy_output_j,switch_overhead_j,avg_runtime_ms,"
+    "runtime_per_invocation_ms,ideal_energy_j,num_invocations,"
+    "num_switch_events,total_switch_actuations,battery_energy_j,"
+    "final_soc\n"
+    "0.66666666666666663,-0,,inf,1,1,1,3,4.9406564584124654e-324,0.5\n"
+    "# table rows = 2\n"
+    "time_s,gross_power_w,net_power_w,ideal_power_w,invoked,switched,"
+    "switch_actuations,overhead_energy_j,compute_time_s\n"
+    "-0,,inf,-inf,1,0,3,4.9406564584124654e-324,0.10000000000000001\n"
+    "1,0.30000000000000004,123456789.12345679,1.0000000000000001e+300,0,"
+    "1,0,-2.5000000000000171e-310,\n"
+    "# extra lines = 2\n"
+    "{\"array\":\"a,b\",\"detail\":\"say \\\"hi\\\", twice\"}\n"
+    ",,\"\",\n"
+    "# end\n";
+
+constexpr const char* kArtifactStamp = "kind = comparison\n";
+const std::string kArtifactText =
+    "# tegrec-result v1\n"
+    "# kind = comparison\n"
+    "# fingerprint-lines = 1\n"
+    "kind = comparison\n"
+    "# runs = 2\n"
+    "# run algorithm = DNOR\n"
+    "# table rows = 1\n"
+    "energy_output_j,switch_overhead_j,avg_runtime_ms,"
+    "runtime_per_invocation_ms,ideal_energy_j,num_invocations,"
+    "num_switch_events,total_switch_actuations,battery_energy_j,"
+    "final_soc\n"
+    "0.66666666666666663,-0,,inf,1,1,1,3,4.9406564584124654e-324,0.5\n"
+    "# table rows = 1\n"
+    "time_s,gross_power_w,net_power_w,ideal_power_w,invoked,switched,"
+    "switch_actuations,overhead_energy_j,compute_time_s\n"
+    "-0,,inf,-inf,1,0,3,4.9406564584124654e-324,0.10000000000000001\n"
+    "# run algorithm = Baseline\n"
+    "# table rows = 1\n"
+    "energy_output_j,switch_overhead_j,avg_runtime_ms,"
+    "runtime_per_invocation_ms,ideal_energy_j,num_invocations,"
+    "num_switch_events,total_switch_actuations,battery_energy_j,"
+    "final_soc\n"
+    "0,0,0,0,0,0,0,0,0,0\n"
+    "# table rows = 0\n"
+    "time_s,gross_power_w,net_power_w,ideal_power_w,invoked,switched,"
+    "switch_actuations,overhead_energy_j,compute_time_s\n"
+    "# end\n";
 
 SimulationResult awkward_run() {
   SimulationResult run;
@@ -73,39 +137,7 @@ TEST(CodecGolden, CheckpointBytesArePinned) {
   const std::vector<std::string> extra = {
       R"({"array":"a,b","detail":"say \"hi\", twice"})", ",,\"\","};
 
-  const std::string expected =
-      "# tegrec-checkpoint v1\n"
-      "# config lines = 2\n"
-      "scheme = dnor\n"
-      "dt_s = 0.5\n"
-      "steps_consumed = 2\n"
-      "total_compute_s = 0.10000000000000001\n"
-      "has_fabric = 1\n"
-      "fabric_group_starts = 0,4,9\n"
-      "battery_soc = 0.25\n"
-      "battery_energy_j = -0\n"
-      "# controller lines = 2\n"
-      "k = v\n"
-      "w = 1e-300\n"
-      "algorithm = DNOR\n"
-      "# table rows = 1\n"
-      "energy_output_j,switch_overhead_j,avg_runtime_ms,"
-      "runtime_per_invocation_ms,ideal_energy_j,num_invocations,"
-      "num_switch_events,total_switch_actuations,battery_energy_j,"
-      "final_soc\n"
-      "0.66666666666666663,-0,,inf,1,1,1,3,4.9406564584124654e-324,0.5\n"
-      "# table rows = 2\n"
-      "time_s,gross_power_w,net_power_w,ideal_power_w,invoked,switched,"
-      "switch_actuations,overhead_energy_j,compute_time_s\n"
-      "-0,,inf,-inf,1,0,3,4.9406564584124654e-324,0.10000000000000001\n"
-      "1,0.30000000000000004,123456789.12345679,1.0000000000000001e+300,0,"
-      "1,0,-2.5000000000000171e-310,\n"
-      "# extra lines = 2\n"
-      "{\"array\":\"a,b\",\"detail\":\"say \\\"hi\\\", twice\"}\n"
-      ",,\"\",\n"
-      "# end\n";
-  const std::string stamp = "scheme = dnor\ndt_s = 0.5\n";
-  EXPECT_EQ(encode_checkpoint(state, stamp, extra), expected);
+  EXPECT_EQ(encode_checkpoint(state, kCheckpointStamp, extra), kCheckpointText);
 }
 
 TEST(CodecGolden, ComparisonArtifactBytesArePinned) {
@@ -116,36 +148,24 @@ TEST(CodecGolden, ComparisonArtifactBytesArePinned) {
   SimulationResult& empty = result.comparison.runs.emplace_back();
   empty.algorithm = "Baseline";
 
-  const std::string expected =
-      "# tegrec-result v1\n"
-      "# kind = comparison\n"
-      "# fingerprint-lines = 1\n"
-      "kind = comparison\n"
-      "# runs = 2\n"
-      "# run algorithm = DNOR\n"
-      "# table rows = 1\n"
-      "energy_output_j,switch_overhead_j,avg_runtime_ms,"
-      "runtime_per_invocation_ms,ideal_energy_j,num_invocations,"
-      "num_switch_events,total_switch_actuations,battery_energy_j,"
-      "final_soc\n"
-      "0.66666666666666663,-0,,inf,1,1,1,3,4.9406564584124654e-324,0.5\n"
-      "# table rows = 1\n"
-      "time_s,gross_power_w,net_power_w,ideal_power_w,invoked,switched,"
-      "switch_actuations,overhead_energy_j,compute_time_s\n"
-      "-0,,inf,-inf,1,0,3,4.9406564584124654e-324,0.10000000000000001\n"
-      "# run algorithm = Baseline\n"
-      "# table rows = 1\n"
-      "energy_output_j,switch_overhead_j,avg_runtime_ms,"
-      "runtime_per_invocation_ms,ideal_energy_j,num_invocations,"
-      "num_switch_events,total_switch_actuations,battery_energy_j,"
-      "final_soc\n"
-      "0,0,0,0,0,0,0,0,0,0\n"
-      "# table rows = 0\n"
-      "time_s,gross_power_w,net_power_w,ideal_power_w,invoked,switched,"
-      "switch_actuations,overhead_energy_j,compute_time_s\n"
-      "# end\n";
-  const std::string stamp = "kind = comparison\n";
-  EXPECT_EQ(encode_result(result, stamp), expected);
+  EXPECT_EQ(encode_result(result, kArtifactStamp), kArtifactText);
+}
+
+// Decoding must give back every value encoded — subnormals included — so
+// each golden text re-encodes to itself.
+TEST(CodecGolden, CheckpointRoundTripsByteIdentically) {
+  const DecodedCheckpoint decoded =
+      decode_checkpoint(kCheckpointText, kCheckpointStamp);
+  EXPECT_EQ(encode_checkpoint(decoded.state, kCheckpointStamp,
+                              decoded.extra_lines),
+            kCheckpointText);
+}
+
+TEST(CodecGolden, ComparisonArtifactRoundTripsByteIdentically) {
+  const std::optional<ExperimentResult> decoded =
+      decode_result(kArtifactText, kArtifactStamp);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(encode_result(*decoded, kArtifactStamp), kArtifactText);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <gtest/gtest.h>
 
 namespace tegrec::util {
@@ -155,6 +156,22 @@ TEST(Csv, PartiallyNumericCellThrows) {
   // std::stod("1.5x") parses the prefix and drops the rest; the reader
   // must reject the cell instead of silently truncating.
   EXPECT_THROW(csv_from_string("a\n1.5x\n"), std::runtime_error);
+}
+
+TEST(Csv, SubnormalAndUnderflowingCellsParse) {
+  // strtod flags these with ERANGE, yet its result is the correctly
+  // rounded subnormal (or zero) the writer spelled.
+  const CsvTable t =
+      csv_from_string("x\n4.9406564584124654e-324\n-2.5e-310\n1e-400\n");
+  ASSERT_EQ(t.num_rows(), 3u);
+  EXPECT_EQ(t.rows[0][0], std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(t.rows[1][0], -2.5e-310);
+  EXPECT_EQ(t.rows[2][0], 0.0);
+}
+
+TEST(Csv, OverflowingCellThrows) {
+  EXPECT_THROW(csv_from_string("x\n1e999\n"), std::runtime_error);
+  EXPECT_THROW(csv_from_string("x\n-1e999\n"), std::runtime_error);
 }
 
 TEST(Csv, PrecisionPreserved) {

@@ -1,31 +1,13 @@
 // tegrec_cli — command-line front end for the library.
 //
-// The commands and their flags are listed once, in usage() below (printed
-// when the tool runs without a valid command).
-//
-// `scenarios` lists the named workload library (thermal/scenario.hpp);
-// `trace` synthesises a workload and writes the per-module temperature CSV;
-// `simulate` replays a trace (CSV, spec file, named scenario, or the
-// built-in default) through the chosen controller(s) and prints the Table-I
-// style summary; `predict` scores a predictor on the CSV; `montecarlo` runs
-// the multi-core DNOR-vs-baseline study across seeds; `batch` runs a whole
-// directory of ExperimentSpec files concurrently through one
-// ExperimentService, with per-job progress on stderr and a machine-readable
-// summary (--json) on stdout.  With --spool, `batch` becomes the producer
-// side of the crash-safe multi-process farm (docs/farm.md): specs are
-// enqueued onto the spool directory and results collected from the shared
-// artifact store, while any number of `worker` processes — on this machine
-// or others sharing the filesystem — claim, execute, and publish jobs;
-// workers drain gracefully on SIGTERM/SIGINT and recover each other's
-// crashes via lease reclaim.  `stream` is the live mode (docs/streaming.md):
-// one or more named arrays, each fed CSV telemetry from stdin, a tailed
-// file, or a loopback TCP port, are tracked incrementally through
-// sim::StreamServer; reconfiguration decisions stream out as JSONL, and
-// with --checkpoint the full state (decision log included) survives
-// SIGTERM and even SIGKILL via --resume.  Anywhere a `--scenario` is
-// accepted the
-// resulting spec carries the scenario name into its canonical text, so
-// repeated runs of the same scenario are cache hits.
+// Every command, its one-line purpose and its flags are listed once, in
+// the command table (kCommands, at the end of the anonymous namespace):
+// parse_flags(), usage() (printed when the tool runs without a valid
+// command) and the dispatch in main() all read it.  `batch --spool` and
+// `worker` form the crash-safe multi-process farm (docs/farm.md); `stream`
+// is the live mode (docs/streaming.md).  Anywhere a `--scenario` is
+// accepted the resulting spec carries the scenario name into its canonical
+// text, so repeated runs of the same scenario are cache hits.
 //
 // Flag values are parsed with util::parse — a non-numeric or trailing-junk
 // value (`--seeds abc`, `--duration 10x`) is an error, never a silent zero —
@@ -41,6 +23,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cinttypes>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -48,9 +31,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iostream>
 #include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -88,36 +73,51 @@ using namespace tegrec;
 
 // ------------------------------------------------------------------ flags
 
-using FlagMap = std::map<std::string, std::string>;
+/// Each given flag's values in order; a bool flag holds "1", and a flag
+/// that is not repeatable keeps only its last value.
+using FlagMap = std::map<std::string, std::vector<std::string>>;
 
-/// --key value parser with an explicit vocabulary: `value_flags` take one
-/// argument, `bool_flags` take none (stored as "1").  Anything else — an
+/// `--name METAVAR` takes one value; an empty metavar makes a bool flag.
+struct Flag {
+  std::string name;
+  std::string metavar;
+  bool repeatable = false;
+};
+
+struct Command {
+  std::string name;
+  std::string summary;  ///< what the command does, for usage()
+  std::vector<Flag> flags;
+  int (*run)(const FlagMap&);
+};
+
+/// `--key value` parser over one command's flags.  Anything else — an
 /// unknown flag, a missing value, a stray positional — is an error.
-FlagMap parse_flags(int argc, char** argv, int first,
-                    const std::set<std::string>& value_flags,
-                    const std::set<std::string>& bool_flags = {}) {
+FlagMap parse_flags(const Command& command, int argc, char** argv) {
   FlagMap flags;
-  for (int i = first; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       throw std::invalid_argument("expected a --flag, got '" + arg + "'");
     }
-    const std::string key = arg.substr(2);
-    if (bool_flags.count(key)) {
-      flags[key] = "1";
-      continue;
-    }
-    if (!value_flags.count(key)) {
+    const auto flag =
+        std::find_if(command.flags.begin(), command.flags.end(),
+                     [&](const Flag& f) { return arg == "--" + f.name; });
+    if (flag == command.flags.end()) {
       std::string known;
-      for (const auto& k : value_flags) known += " --" + k;
-      for (const auto& k : bool_flags) known += " --" + k;
+      for (const Flag& f : command.flags) known += " --" + f.name;
       throw std::invalid_argument("unknown flag '" + arg + "' (accepted:" +
                                   known + ")");
     }
-    if (i + 1 >= argc) {
+    std::vector<std::string>& values = flags[flag->name];
+    if (!flag->repeatable) values.clear();
+    if (flag->metavar.empty()) {
+      values.push_back("1");
+    } else if (i + 1 < argc) {
+      values.push_back(argv[++i]);
+    } else {
       throw std::invalid_argument("flag '" + arg + "' needs a value");
     }
-    flags[key] = argv[++i];
   }
   return flags;
 }
@@ -125,29 +125,29 @@ FlagMap parse_flags(int argc, char** argv, int first,
 std::string flag_or(const FlagMap& flags, const std::string& key,
                     const std::string& fallback) {
   const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
+  return it == flags.end() ? fallback : it->second.back();
+}
+
+/// The flag's value through a util::parse function, `fallback` when unset.
+template <typename T>
+T flag_parsed(const FlagMap& flags, const std::string& key, T fallback,
+              T (*parse)(const std::string&)) {
+  if (flags.count(key) == 0) return fallback;
+  try {
+    return parse(flag_or(flags, key, ""));
+  } catch (const std::exception& e) {
+    throw std::invalid_argument("--" + key + ": " + e.what());
+  }
 }
 
 double flag_double(const FlagMap& flags, const std::string& key,
                    double fallback) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  try {
-    return util::parse_double(it->second);
-  } catch (const std::exception& e) {
-    throw std::invalid_argument("--" + key + ": " + e.what());
-  }
+  return flag_parsed(flags, key, fallback, util::parse_double);
 }
 
 std::uint64_t flag_u64(const FlagMap& flags, const std::string& key,
                        std::uint64_t fallback) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  try {
-    return util::parse_u64(it->second);
-  } catch (const std::exception& e) {
-    throw std::invalid_argument("--" + key + ": " + e.what());
-  }
+  return flag_parsed(flags, key, fallback, util::parse_u64);
 }
 
 std::size_t flag_size(const FlagMap& flags, const std::string& key,
@@ -156,12 +156,36 @@ std::size_t flag_size(const FlagMap& flags, const std::string& key,
       flag_u64(flags, key, static_cast<std::uint64_t>(fallback)));
 }
 
-double positive_duration(const FlagMap& flags, double fallback) {
-  const double duration = flag_double(flags, "duration", fallback);
+/// `--scenario NAME` (empty when unset) and the positive `--duration T`
+/// that shapes the built-in schedule instead; a scenario fixes its own, so
+/// the two together are an error.
+std::pair<std::string, double> schedule_flags(const FlagMap& flags,
+                                              double fallback_duration) {
+  const std::string scenario = flag_or(flags, "scenario", "");
+  if (!scenario.empty() && flags.count("duration") != 0) {
+    throw std::invalid_argument(
+        "--duration shapes the built-in schedule; a --scenario fixes its "
+        "own schedule");
+  }
+  const double duration = flag_double(flags, "duration", fallback_duration);
   if (duration <= 0.0) {
     throw std::invalid_argument("--duration must be positive");
   }
-  return duration;
+  return {scenario, duration};
+}
+
+/// `flags` plus `--threads` and `--max-groups`, the SimulationOptions
+/// execution knobs that apply_sim_flags() reads.
+std::vector<Flag> with_sim_flags(std::vector<Flag> flags) {
+  flags.push_back({"threads", "W"});
+  flags.push_back({"max-groups", "G"});
+  return flags;
+}
+
+void apply_sim_flags(const FlagMap& flags, sim::SimulationOptions& options) {
+  options.num_threads = flag_size(flags, "threads", options.num_threads);
+  options.ehtr_max_groups =
+      flag_size(flags, "max-groups", options.ehtr_max_groups);
 }
 
 sim::ServiceOptions service_options(const FlagMap& flags,
@@ -182,6 +206,17 @@ void reject_flags(const FlagMap& flags, const std::vector<std::string>& keys,
   }
 }
 
+/// Runs one spec on a single-worker service (disk-cached under --cache),
+/// prints its result, then notes whether it executed or hit the cache.
+void run_one(const FlagMap& flags, const sim::ExperimentSpec& spec,
+             const std::function<void(const sim::ExperimentResult&)>& print) {
+  sim::ExperimentService service(service_options(flags, /*num_workers=*/1));
+  const sim::JobHandle job = service.submit(spec);
+  print(*job.wait());
+  std::fprintf(stderr, "[job %s: %s]\n", job.fingerprint().c_str(),
+               job.from_cache() ? "cache hit" : "executed");
+}
+
 // --------------------------------------------------------------- commands
 
 int cmd_scenarios(const FlagMap&) {
@@ -197,19 +232,11 @@ int cmd_scenarios(const FlagMap&) {
 
 int cmd_trace(const FlagMap& flags) {
   thermal::TraceGeneratorConfig config;
-  const std::string scenario_name = flag_or(flags, "scenario", "");
-  if (!scenario_name.empty()) {
-    config = thermal::scenario(scenario_name);
-    if (flags.count("duration")) {
-      throw std::invalid_argument(
-          "--duration scales the default cycle; a --scenario fixes its own "
-          "schedule");
-    }
-  }
+  const auto [scenario_name, duration] = schedule_flags(flags, 800.0);
+  if (!scenario_name.empty()) config = thermal::scenario(scenario_name);
   config.seed = flag_u64(flags, "seed", config.seed);
   config.layout.num_modules =
       flag_size(flags, "modules", config.layout.num_modules);
-  const double duration = positive_duration(flags, 800.0);
   if (scenario_name.empty() && duration != 800.0) {
     // Scale the default cycle's segments proportionally.
     auto segments = thermal::default_porter_cycle();
@@ -250,12 +277,9 @@ int cmd_simulate(const FlagMap& flags) {
   spec.kind = sim::ExperimentKind::kComparison;
   // Flags override the spec file; unset flags keep its values (which are
   // the library defaults when no --spec was given).
-  spec.comparison.sim.num_threads =
-      flag_size(flags, "threads", spec.comparison.sim.num_threads);
-  spec.comparison.sim.ehtr_max_groups =
-      flag_size(flags, "max-groups", spec.comparison.sim.ehtr_max_groups);
+  apply_sim_flags(flags, spec.comparison.sim);
   if (flags.count("scheme")) {  // only an explicit flag overrides the spec
-    const std::string& s = flags.at("scheme");
+    const std::string s = flag_or(flags, "scheme", "");
     const bool all = s == "all";
     if (!all && s != "dnor" && s != "inor" && s != "ehtr" && s != "baseline") {
       throw std::invalid_argument("simulate: unknown --scheme '" + s +
@@ -266,13 +290,9 @@ int cmd_simulate(const FlagMap& flags) {
     spec.comparison.include_ehtr = all || s == "ehtr";
     spec.comparison.include_baseline = all || s == "baseline";
   }
-
-  sim::ExperimentService service(service_options(flags, /*num_workers=*/1));
-  const sim::JobHandle job = service.submit(spec);
-  const auto result = job.wait();
-  std::printf("%s\n", sim::render_table1(result->comparison.runs).c_str());
-  std::fprintf(stderr, "[job %s: %s]\n", job.fingerprint().c_str(),
-               job.from_cache() ? "cache hit" : "executed");
+  run_one(flags, spec, [](const sim::ExperimentResult& result) {
+    std::printf("%s\n", sim::render_table1(result.comparison.runs).c_str());
+  });
   return 0;
 }
 
@@ -283,20 +303,24 @@ int cmd_predict(const FlagMap& flags) {
                    : thermal::TemperatureTrace::load_csv(path);
   const std::string method = flag_or(flags, "method", "mlr");
   const double horizon_s = flag_double(flags, "horizon", 1.0);
+  // Checked before the size_t cast below, which is undefined for a
+  // negative or out-of-range step count.
+  const double horizon_steps = horizon_s / trace.dt_s();
+  if (!(horizon_s > 0.0) ||
+      !(horizon_steps < static_cast<double>(trace.num_steps()))) {
+    throw std::invalid_argument(
+        "--horizon must be > 0 s and shorter than the trace");
+  }
 
   std::unique_ptr<predict::Predictor> predictor;
   if (method == "mlr") {
     predictor = std::make_unique<predict::MlrPredictor>();
   } else if (method == "bpnn") {
-    predict::BpnnParams p;
-    p.epochs = 8;
-    p.module_stride = 5;
-    predictor = std::make_unique<predict::BpnnPredictor>(p);
+    predictor = std::make_unique<predict::BpnnPredictor>(
+        predict::BpnnParams{.epochs = 8, .module_stride = 5});
   } else if (method == "svr") {
-    predict::SvrParams p;
-    p.iterations = 120;
-    p.module_stride = 5;
-    predictor = std::make_unique<predict::SvrPredictor>(p);
+    predictor = std::make_unique<predict::SvrPredictor>(
+        predict::SvrParams{.iterations = 120, .module_stride = 5});
   } else if (method == "holt") {
     predictor = std::make_unique<predict::HoltPredictor>();
   } else {
@@ -306,8 +330,8 @@ int cmd_predict(const FlagMap& flags) {
 
   predict::EvaluationOptions options;
   options.window = 30;
-  options.horizon_steps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(horizon_s / trace.dt_s()));
+  options.horizon_steps =
+      std::max<std::size_t>(1, static_cast<std::size_t>(horizon_steps));
   const auto res = predict::evaluate_online(*predictor, trace, options);
   std::printf("%s @ %.1f s horizon: mean MAPE %.4f %%, max %.4f %%, "
               "fit %.3f ms, predict %.3f ms\n",
@@ -319,20 +343,14 @@ int cmd_predict(const FlagMap& flags) {
 int cmd_montecarlo(const FlagMap& flags) {
   sim::ExperimentSpec spec;
   spec.kind = sim::ExperimentKind::kMonteCarlo;
-  const std::string scenario_name = flag_or(flags, "scenario", "");
+  const auto [scenario_name, duration] = schedule_flags(flags, 200.0);
   if (!scenario_name.empty()) {
-    if (flags.count("duration")) {
-      throw std::invalid_argument(
-          "--duration shapes the built-in study; a --scenario fixes its own "
-          "schedule");
-    }
     spec.trace = sim::scenario_source(scenario_name);
     spec.trace.generator.layout.num_modules =
         flag_size(flags, "modules", spec.trace.generator.layout.num_modules);
   } else {
     spec.trace.generator.seed = 0;  // immaterial: the engine re-seeds per sample
     spec.trace.generator.layout.num_modules = flag_size(flags, "modules", 100);
-    const double duration = positive_duration(flags, 200.0);
     // Short mixed slice per seed, urban then cruise, scaled to --duration.
     spec.trace.generator.segments = {
         {thermal::DriveSegment::Kind::kUrban, duration / 2.0, 32.0, 0.0},
@@ -344,28 +362,27 @@ int cmd_montecarlo(const FlagMap& flags) {
   spec.mc_first_seed = flag_u64(flags, "first-seed", 100);
   spec.mc_num_threads = flag_size(flags, "threads", 0);
 
-  sim::ExperimentService service(service_options(flags, /*num_workers=*/1));
-  const sim::JobHandle job = service.submit(spec);
-  const sim::MonteCarloSummary& summary = job.wait()->monte_carlo;
-
-  util::TextTable table({"seed", "DNOR (J)", "Baseline (J)", "gain %"});
-  for (const auto& s : summary.samples) {
-    table.begin_row()
-        .add(static_cast<long long>(s.seed))
-        .add(s.dnor_energy_j, 1)
-        .add(s.baseline_energy_j, 1)
-        .add(100.0 * s.gain, 1);
-  }
-  std::printf("%s\n", table.render().c_str());
-  // Seeds whose fixed baseline harvested nothing have no defined gain
-  // (their rows read "nan"); they are left out of the aggregate rather
-  // than folded in as zeros.
-  const std::size_t defined = summary.gain.count();
-  if (defined == 0) {
-    std::printf("gain over %zu drives: undefined (baseline harvested 0 J "
-                "on every seed)\n",
-                summary.samples.size());
-  } else {
+  run_one(flags, spec, [](const sim::ExperimentResult& result) {
+    const sim::MonteCarloSummary& summary = result.monte_carlo;
+    util::TextTable table({"seed", "DNOR (J)", "Baseline (J)", "gain %"});
+    for (const auto& s : summary.samples) {
+      table.begin_row()
+          .add(static_cast<long long>(s.seed))
+          .add(s.dnor_energy_j, 1)
+          .add(s.baseline_energy_j, 1)
+          .add(100.0 * s.gain, 1);
+    }
+    std::printf("%s\n", table.render().c_str());
+    // Seeds whose fixed baseline harvested nothing have no defined gain
+    // (their rows read "nan"); they are left out of the aggregate rather
+    // than folded in as zeros.
+    const std::size_t defined = summary.gain.count();
+    if (defined == 0) {
+      std::printf("gain over %zu drives: undefined (baseline harvested 0 J "
+                  "on every seed)\n",
+                  summary.samples.size());
+      return;
+    }
     std::string qualifier;
     if (defined != summary.samples.size()) {
       qualifier = " (" + std::to_string(defined) + " with defined gain)";
@@ -375,9 +392,7 @@ int cmd_montecarlo(const FlagMap& flags) {
                 summary.samples.size(), qualifier.c_str(),
                 100.0 * summary.gain.mean(), 100.0 * summary.gain.stddev(),
                 100.0 * summary.gain.min(), 100.0 * summary.gain.max());
-  }
-  std::fprintf(stderr, "[job %s: %s]\n", job.fingerprint().c_str(),
-               job.from_cache() ? "cache hit" : "executed");
+  });
   return 0;
 }
 
@@ -389,31 +404,18 @@ util::json::Value json_num(double v) {
   return std::isfinite(v) ? util::json::Value(v) : util::json::Value();
 }
 
-const char* kind_name(sim::ExperimentKind kind) {
-  switch (kind) {
-    case sim::ExperimentKind::kComparison: return "comparison";
-    case sim::ExperimentKind::kMonteCarlo: return "montecarlo";
-    case sim::ExperimentKind::kSweep: return "sweep";
-  }
-  return "?";
-}
-
 util::json::Value stats_json(const util::RunningStats& stats) {
   // An empty statistic (e.g. every seed's gain was undefined) must read as
   // null, not as RunningStats' 0.0 defaults — a machine consumer would
   // take those for a measured zero.
-  if (stats.count() == 0) {
-    return util::json::Object{{"count", 0},
-                              {"mean", util::json::Value()},
-                              {"stddev", util::json::Value()},
-                              {"min", util::json::Value()},
-                              {"max", util::json::Value()}};
-  }
+  const auto num = [&](double v) {
+    return stats.count() == 0 ? util::json::Value() : json_num(v);
+  };
   return util::json::Object{{"count", stats.count()},
-                            {"mean", json_num(stats.mean())},
-                            {"stddev", json_num(stats.stddev())},
-                            {"min", json_num(stats.min())},
-                            {"max", json_num(stats.max())}};
+                            {"mean", num(stats.mean())},
+                            {"stddev", num(stats.stddev())},
+                            {"min", num(stats.min())},
+                            {"max", num(stats.max())}};
 }
 
 util::json::Value result_json(const sim::ExperimentResult& result) {
@@ -468,6 +470,168 @@ std::vector<std::string> collect_spec_files(const std::string& path) {
     throw std::invalid_argument("--specs: no *.spec files in " + path);
   }
   return files;
+}
+
+/// A terminal job: its progress text on stderr, and the fields that follow
+/// the fingerprint in its summary entry.
+struct BatchOutcome {
+  std::string progress;
+  util::json::Object fields;
+  bool ok = false;
+};
+
+/// What differs between running `batch` in process and through the spool
+/// farm; run_batch() does the rest.  Callbacks take the job's index.
+struct BatchBackend {
+  /// Queues a parsed spec; returns its fingerprint.
+  std::function<std::string(std::size_t, const sim::ExperimentSpec&)> submit;
+  /// The job's outcome once it is terminal; nullopt while it is not.
+  std::function<std::optional<BatchOutcome>(std::size_t)> poll;
+  std::function<void()> before_poll = [] {};
+  /// The summary's counters and its text line, given the failure count.
+  std::function<std::pair<util::json::Object, std::string>(int)> summary;
+  int poll_ms = 10;
+  std::uint64_t wait_ms = 0;  ///< give up after this long; 0 waits forever
+};
+
+/// Submits every spec file, reports each job on stderr the moment it turns
+/// terminal, and prints the summary (JSON with --json).  Exits non-zero if
+/// any job is invalid, failed or unfinished.
+int run_batch(const std::vector<std::string>& files, bool as_json,
+              const BatchBackend& backend) {
+  const std::size_t n = files.size();
+  std::vector<util::json::Object> entries(n);
+  std::vector<std::string> kinds(n);
+  std::vector<bool> terminal(n, false);
+  std::size_t reported = 0;
+  int failures = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    entries[i] = {{"file", files[i]}};
+    try {
+      const sim::ExperimentSpec spec = sim::ExperimentSpec::from_file(files[i]);
+      kinds[i] = sim::to_string(spec.kind);
+      const std::string fingerprint = backend.submit(i, spec);
+      entries[i].emplace_back("kind", kinds[i]);
+      entries[i].emplace_back("fingerprint", fingerprint);
+    } catch (const std::exception& e) {
+      entries[i].emplace_back("status", "invalid");
+      entries[i].emplace_back("error", e.what());
+      terminal[i] = true;
+      ++reported;
+      ++failures;
+      std::fprintf(stderr, "[%zu/%zu] %s: invalid spec: %s\n", i + 1, n,
+                   files[i].c_str(), e.what());
+    }
+  }
+
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(backend.wait_ms);
+  while (reported < n) {
+    backend.before_poll();
+    bool progressed = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (terminal[i]) continue;
+      std::optional<BatchOutcome> outcome = backend.poll(i);
+      if (!outcome.has_value()) continue;
+      terminal[i] = progressed = true;
+      for (auto& field : outcome->fields) {
+        entries[i].push_back(std::move(field));
+      }
+      failures += outcome->ok ? 0 : 1;
+      std::fprintf(stderr, "[%zu/%zu] %s: %s %s\n", ++reported, n,
+                   files[i].c_str(), kinds[i].c_str(),
+                   outcome->progress.c_str());
+    }
+    if (reported == n) break;
+    if (backend.wait_ms > 0 && std::chrono::steady_clock::now() >= deadline) {
+      std::fprintf(stderr, "batch: gave up after %llu ms with %zu job(s) "
+                           "unfinished\n",
+                   static_cast<unsigned long long>(backend.wait_ms),
+                   n - reported);
+      break;
+    }
+    if (!progressed) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(backend.poll_ms));
+    }
+  }
+
+  util::json::Array job_entries;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!terminal[i]) {
+      entries[i].emplace_back("status", "pending");
+      ++failures;
+    }
+    job_entries.push_back(std::move(entries[i]));
+  }
+  auto [summary, line] = backend.summary(failures);
+  summary.insert(summary.begin(), {{"schema", 1}, {"num_jobs", n}});
+  summary.emplace_back("jobs", std::move(job_entries));
+  // The summary must round-trip: parse it back before anyone else has to.
+  const std::string text = util::json::dump(summary, as_json ? 2 : 0);
+  util::json::parse(text);
+  std::printf("%s\n", as_json ? text.c_str() : line.c_str());
+  return failures == 0 ? 0 : 1;
+}
+
+int batch_in_process(const FlagMap& flags,
+                     const std::vector<std::string>& files, bool as_json) {
+  sim::ExperimentService service(
+      service_options(flags, flag_size(flags, "jobs", 0)));
+  std::vector<sim::JobHandle> jobs(files.size());
+  std::vector<std::chrono::steady_clock::time_point> submitted(files.size());
+
+  BatchBackend backend;
+  backend.submit = [&](std::size_t i, const sim::ExperimentSpec& spec) {
+    submitted[i] = std::chrono::steady_clock::now();
+    jobs[i] = service.submit(spec);
+    return jobs[i].fingerprint();
+  };
+  backend.poll = [&](std::size_t i) -> std::optional<BatchOutcome> {
+    const sim::JobHandle& job = jobs[i];
+    const sim::JobStatus status = job.status();
+    if (status == sim::JobStatus::kQueued ||
+        status == sim::JobStatus::kRunning) {
+      return std::nullopt;
+    }
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - submitted[i])
+                               .count();
+    BatchOutcome out{"cancelled", {{"wall_ms", json_num(wall_ms)}}};
+    if (status == sim::JobStatus::kDone) {
+      out.ok = true;
+      out.progress = job.from_cache() ? "cached" : "executed";
+      out.fields.insert(out.fields.end(),
+                        {{"status", "done"},
+                         {"from_cache", job.from_cache()},
+                         {"result", result_json(*job.poll())}});
+    } else if (status == sim::JobStatus::kFailed) {
+      out.progress = "FAILED";
+      out.fields.emplace_back("status", "failed");
+      try {
+        job.wait();
+      } catch (const std::exception& e) {
+        out.fields.emplace_back("error", e.what());
+      }
+    } else {
+      out.fields.emplace_back("status", "cancelled");
+    }
+    char elapsed[48];
+    std::snprintf(elapsed, sizeof elapsed, " in %.0f ms", wall_ms);
+    out.progress += elapsed;
+    return out;
+  };
+  backend.summary = [&](int failures) {
+    return std::pair{
+        util::json::Object{{"executed", service.executions()},
+                           {"cache_hits", service.cache_hits()},
+                           {"coalesced", service.coalesced()}},
+        std::to_string(files.size()) + " job(s): " +
+            std::to_string(service.executions()) + " executed, " +
+            std::to_string(service.cache_hits()) + " cache hit(s), " +
+            std::to_string(service.coalesced()) + " coalesced, " +
+            std::to_string(failures) + " failure(s)"};
+  };
+  return run_batch(files, as_json, backend);
 }
 
 // ------------------------------------------------------- spool farm modes
@@ -535,84 +699,135 @@ int cmd_worker(const FlagMap& flags) {
   sim::SpoolWorker worker(queue, store, options);
   const sim::SpoolWorkerStats stats = worker.run();
   std::fprintf(stderr,
-               "worker %s: %llu completed (%llu executed, %llu store hits), "
-               "%llu failed attempts, %llu reclaimed%s\n",
-               options.owner.c_str(),
-               static_cast<unsigned long long>(stats.completed),
-               static_cast<unsigned long long>(stats.executed),
-               static_cast<unsigned long long>(stats.store_hits),
-               static_cast<unsigned long long>(stats.failures),
-               static_cast<unsigned long long>(stats.reclaimed),
+               "worker %s: %" PRIu64 " completed (%" PRIu64
+               " executed, %" PRIu64 " store hits), %" PRIu64
+               " failed attempts, %" PRIu64 " reclaimed%s\n",
+               options.owner.c_str(), stats.completed, stats.executed,
+               stats.store_hits, stats.failures, stats.reclaimed,
                g_stop_requested.load(std::memory_order_relaxed) ? " (drained)"
                                                                 : "");
   return 0;
 }
 
+/// batch --spool: enqueue every spec onto the farm, poll until terminal,
+/// and read each result back from the shared artifact store.
+int batch_via_spool(const FlagMap& flags,
+                    const std::vector<std::string>& files, bool as_json) {
+  sim::SpoolQueue queue = open_spool(flags);
+  sim::ArtifactStore store(spool_store_options(flags));
+  std::vector<std::string> ids(files.size());
+  std::vector<std::string> fingerprint_texts(files.size());
+
+  BatchBackend backend;
+  backend.poll_ms = 50;
+  backend.wait_ms = flag_u64(flags, "wait-ms", 0);
+  // The producer doubles as a reclaimer so a farm whose only worker died
+  // still makes progress once another worker (or this loop's next poller)
+  // shows up.
+  backend.before_poll = [&] { queue.reclaim_stale(); };
+  backend.submit = [&](std::size_t i, const sim::ExperimentSpec& spec) {
+    fingerprint_texts[i] = spec.fingerprint_text();
+    return ids[i] = queue.enqueue(spec);
+  };
+  backend.poll = [&](std::size_t i) -> std::optional<BatchOutcome> {
+    const sim::SpoolJobState state = queue.state(ids[i]);
+    if (state == sim::SpoolJobState::kFailed) {
+      return BatchOutcome{
+          "FAILED",
+          {{"status", "failed"},
+           {"error", queue.failure_reason(ids[i]).value_or("dead-lettered")}}};
+    }
+    if (state != sim::SpoolJobState::kDone) return std::nullopt;
+    const std::optional<std::string> artifact = store.get(ids[i]);
+    const std::optional<sim::ExperimentResult> result =
+        artifact.has_value()
+            ? sim::decode_result(*artifact, fingerprint_texts[i])
+            : std::nullopt;
+    if (!result.has_value()) {
+      return BatchOutcome{"done",
+                          {{"status", "failed"},
+                           {"error", "job done but artifact missing/corrupt"}}};
+    }
+    return BatchOutcome{
+        "done", {{"status", "done"}, {"result", result_json(*result)}}, true};
+  };
+  backend.summary = [&](int failures) {
+    return std::pair{util::json::Object{{"spool", queue.root()}},
+                     std::to_string(files.size()) + " job(s) via spool " +
+                         queue.root() + ": " + std::to_string(failures) +
+                         " failure(s)"};
+  };
+  return run_batch(files, as_json, backend);
+}
+
+int cmd_batch(const FlagMap& flags) {
+  const std::string specs = flag_or(flags, "specs", "");
+  if (specs.empty()) throw std::invalid_argument("batch needs --specs");
+  const bool as_json = flags.count("json") != 0;
+  const std::vector<std::string> files = collect_spec_files(specs);
+
+  if (flags.count("spool") != 0) {
+    reject_flags(flags, {"jobs"}, "does not apply with --spool");
+    return batch_via_spool(flags, files, as_json);
+  }
+  reject_flags(flags, {"wait-ms", "stale-ms", "max-attempts"}, "needs --spool");
+  if (flags.count("cache") == 0) {
+    reject_flags(flags, {"cache-max-bytes"}, "needs --cache");
+  }
+  return batch_in_process(flags, files, as_json);
+}
+
 // ----------------------------------------------------------------- stream
 
-/// The `stream` subcommand's shared JSONL sink.  File-backed (--out) or
-/// stdout; either way the full line history is kept in memory so that a
-/// resume can rewrite a file sink to exactly the checkpointed log prefix
-/// (docs/streaming.md).  Thread-safe: resumes and emissions may race
-/// across array threads.
+/// The `stream` subcommand's shared JSONL sink, file-backed (--out) or
+/// stdout.  It keeps no history: every emit flushes, so the file itself
+/// holds what this process wrote when a resume needs it.  Thread-safe:
+/// resumes and emissions may race across array threads.
 class StreamSink {
  public:
   /// Empty path streams to stdout.  A file sink opens truncating: under
   /// --resume the restored log is re-written through restore() before any
   /// new line lands, so truncation never loses checkpointed history.
   explicit StreamSink(std::string path) : path_(std::move(path)) {
-    if (path_.empty()) return;
-    out_.open(path_, std::ios::trunc);
-    if (!out_) {
-      throw std::invalid_argument("--out: cannot open " + path_);
-    }
+    if (!path_.empty()) open(std::ios::trunc);
   }
 
   void emit(const std::string& line) {
     util::MutexLock lock(mutex_);
-    lines_.push_back(line);
-    if (path_.empty()) {
-      std::printf("%s\n", line.c_str());
-      std::fflush(stdout);
-    } else {
-      out_ << line << '\n';
-      out_.flush();
-    }
+    *out_ << line << '\n' << std::flush;
   }
 
   /// Splices an array's restored decision log in front of everything this
-  /// process has emitted and rewrites a file sink atomically to match, so
-  /// the on-disk log reads exactly as one uninterrupted run.  On stdout
-  /// the restored lines are simply printed (at-least-once delivery: a
-  /// consumer that saw them before the crash sees them again).
+  /// process has written: a file sink is read back and rewritten
+  /// atomically as the restored lines followed by its content, so the
+  /// on-disk log reads exactly as one uninterrupted run.  On stdout the
+  /// restored lines are simply printed (at-least-once delivery: a consumer
+  /// that saw them before the crash sees them again).
   void restore(const std::vector<std::string>& restored) {
     util::MutexLock lock(mutex_);
-    lines_.insert(lines_.begin(), restored.begin(), restored.end());
+    std::string content;
+    for (const std::string& line : restored) content += line + '\n';
     if (path_.empty()) {
-      for (const std::string& line : restored) {
-        std::printf("%s\n", line.c_str());
-      }
-      std::fflush(stdout);
+      *out_ << content << std::flush;
       return;
     }
-    out_.close();
-    std::string content;
-    for (const std::string& line : lines_) {
-      content += line;
-      content += '\n';
-    }
+    file_.close();
+    content += util::read_file_if_exists(path_).value_or("");
     util::atomic_write_file(path_, content);
-    out_.open(path_, std::ios::app);
-    if (!out_) {
-      throw std::runtime_error("--out: cannot reopen " + path_);
-    }
+    open(std::ios::app);
   }
 
  private:
+  void open(std::ios::openmode mode) {
+    file_.open(path_, mode);
+    if (!file_) throw std::invalid_argument("--out: cannot open " + path_);
+    out_ = &file_;
+  }
+
   util::Mutex mutex_;
   std::string path_;
-  std::ofstream out_;
-  std::vector<std::string> lines_;
+  std::ofstream file_;
+  std::ostream* out_ = &std::cout;
 };
 
 /// `--array NAME=SOURCE` sources: `stdin`, `tail:PATH`, `tcp:PORT`.
@@ -639,43 +854,14 @@ std::unique_ptr<sim::ByteFeed> make_stream_feed(const std::string& source,
                               "' (use stdin, tail:PATH, or tcp:PORT)");
 }
 
-int cmd_stream(int argc, char** argv) {
-  // --array NAME=SOURCE repeats (one per array), so it is collected before
-  // the map-shaped flag parser sees the rest.
-  std::vector<std::pair<std::string, std::string>> array_specs;
-  std::vector<char*> rest;
-  for (int i = 2; i < argc; ++i) {
-    if (std::string(argv[i]) == "--array") {
-      if (i + 1 >= argc) {
-        throw std::invalid_argument("--array needs NAME=SOURCE");
-      }
-      const std::string value = argv[++i];
-      const std::size_t eq = value.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        throw std::invalid_argument("--array expects NAME=SOURCE, got '" +
-                                    value + "'");
-      }
-      array_specs.emplace_back(value.substr(0, eq), value.substr(eq + 1));
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  const FlagMap flags =
-      parse_flags(static_cast<int>(rest.size()), rest.data(), 0,
-                  {"scheme", "period", "dt", "modules", "threads",
-                   "max-groups", "out", "checkpoint", "checkpoint-every",
-                   "poll-ms", "stall-timeout-ms", "idle-exit-ms"},
-                  {"resume"});
-
+int cmd_stream(const FlagMap& flags) {
   sim::StreamConfig config;
   config.scheme = sim::parse_stream_scheme(flag_or(flags, "scheme", "dnor"));
   config.control_period_s =
       flag_double(flags, "period", config.control_period_s);
   config.dt_s = flag_double(flags, "dt", 0.0);  // 0 derives from the stream
   config.num_modules = flag_size(flags, "modules", 0);  // 0 likewise
-  config.sim.num_threads = flag_size(flags, "threads", config.sim.num_threads);
-  config.sim.ehtr_max_groups =
-      flag_size(flags, "max-groups", config.sim.ehtr_max_groups);
+  apply_sim_flags(flags, config.sim);
 
   const std::string checkpoint_dir = flag_or(flags, "checkpoint", "");
   const bool resume = flags.count("resume") != 0;
@@ -696,21 +882,28 @@ int cmd_stream(int argc, char** argv) {
   sim::StreamServer server(
       [sink](const std::string& line) { sink->emit(line); }, server_options);
 
-  if (array_specs.empty()) array_specs.emplace_back("main", "stdin");
   bool stdin_taken = false;
-  for (const auto& [name, source] : array_specs) {
+  for (const std::string& value :
+       flags.count("array") ? flags.at("array")
+                            : std::vector<std::string>{"main=stdin"}) {
+    const std::size_t eq = value.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      throw std::invalid_argument("--array expects NAME=SOURCE, got '" +
+                                  value + "'");
+    }
     sim::StreamArrayOptions array;
-    array.name = name;
+    array.name = value.substr(0, eq);
     array.config = config;
-    array.feed = make_stream_feed(source, stdin_taken);
+    array.feed = make_stream_feed(value.substr(eq + 1), stdin_taken);
     if (const auto* tcp =
             dynamic_cast<const sim::TcpLineFeed*>(array.feed.get())) {
       std::fprintf(stderr, "array '%s': listening on 127.0.0.1:%u\n",
-                   name.c_str(), static_cast<unsigned>(tcp->port()));
+                   array.name.c_str(), static_cast<unsigned>(tcp->port()));
     }
     if (!checkpoint_dir.empty()) {
       array.checkpoint_path =
-          (std::filesystem::path(checkpoint_dir) / (name + ".ckpt")).string();
+          (std::filesystem::path(checkpoint_dir) / (array.name + ".ckpt"))
+              .string();
       array.resume = resume;
       array.checkpoint_every_steps = flag_size(flags, "checkpoint-every", 0);
       array.on_resume = [sink](const std::vector<std::string>& lines) {
@@ -756,347 +949,79 @@ int cmd_stream(int argc, char** argv) {
   return failures == 0 ? 0 : 1;
 }
 
-/// batch --spool: enqueue every spec onto the farm, poll until terminal,
-/// and assemble the summary from the shared artifact store.
-int cmd_batch_spool(const FlagMap& flags,
-                    const std::vector<std::string>& files, bool as_json) {
-  sim::SpoolQueue queue = open_spool(flags);
-  sim::ArtifactStore store(spool_store_options(flags));
-  const std::uint64_t wait_ms = flag_u64(flags, "wait-ms", 0);
+// ---------------------------------------------------------- command table
 
-  struct SpoolBatchJob {
-    std::string file;
-    std::string id;
-    std::string kind;
-    std::string fingerprint_text;
-    std::string parse_error;
-    sim::SpoolJobState state = sim::SpoolJobState::kUnknown;
-    bool reported = false;
-  };
-  std::vector<SpoolBatchJob> jobs(files.size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    SpoolBatchJob& job = jobs[i];
-    job.file = files[i];
-    try {
-      const sim::ExperimentSpec spec = sim::ExperimentSpec::from_file(files[i]);
-      job.kind = kind_name(spec.kind);
-      job.fingerprint_text = spec.fingerprint_text();
-      job.id = queue.enqueue(spec);
-    } catch (const std::exception& e) {
-      job.parse_error = e.what();
-      std::fprintf(stderr, "[%zu/%zu] %s: invalid spec: %s\n", i + 1,
-                   files.size(), files[i].c_str(), e.what());
-      job.reported = true;
-    }
-  }
+const std::vector<Command> kCommands = {
+    {"scenarios", "list the named workload scenarios", {}, cmd_scenarios},
+    {"trace", "synthesise a workload; write its temperature CSV",
+     {{"out", "F"}, {"scenario", "NAME"}, {"seed", "S"}, {"modules", "N"},
+      {"duration", "T"}},
+     cmd_trace},
+    {"simulate", "replay a trace through the controllers (Table I)",
+     with_sim_flags({{"trace", "F"}, {"spec", "F"}, {"scenario", "NAME"},
+                     {"scheme", "dnor|inor|ehtr|baseline|all"},
+                     {"cache", "DIR"}}),
+     cmd_simulate},
+    {"predict", "score a temperature predictor on a trace",
+     {{"trace", "F"}, {"method", "mlr|bpnn|svr|holt"}, {"horizon", "H"}},
+     cmd_predict},
+    {"montecarlo", "DNOR-vs-baseline energy gain across drive seeds",
+     {{"scenario", "NAME"}, {"seeds", "K"}, {"first-seed", "S"},
+      {"modules", "N"}, {"duration", "T"}, {"threads", "W"}, {"cache", "DIR"}},
+     cmd_montecarlo},
+    {"batch", "run a directory of spec files, in process or via --spool",
+     {{"specs", "DIR-or-FILE"}, {"json", ""}, {"jobs", "J"}, {"cache", "DIR"},
+      {"cache-max-bytes", "B"}, {"spool", "DIR"}, {"wait-ms", "T"},
+      {"stale-ms", "T"}, {"max-attempts", "N"}},
+     cmd_batch},
+    {"worker", "claim, run and publish the spool farm's jobs",
+     {{"spool", "DIR"}, {"cache", "DIR"}, {"owner", "ID"}, {"poll-ms", "T"},
+      {"heartbeat-ms", "T"}, {"stale-ms", "T"}, {"max-attempts", "N"},
+      {"max-jobs", "N"}, {"idle-exit-ms", "T"}, {"cache-max-bytes", "B"}},
+     cmd_worker},
+    {"stream", "track live arrays; stream decisions out as JSONL",
+     with_sim_flags({{"array", "NAME=stdin|tail:PATH|tcp:PORT", true},
+                     {"scheme", "dnor|inor|ehtr|baseline"}, {"dt", "T"},
+                     {"modules", "N"}, {"period", "T"}, {"out", "FILE"},
+                     {"checkpoint", "DIR"}, {"resume", ""},
+                     {"checkpoint-every", "N"}, {"poll-ms", "T"},
+                     {"stall-timeout-ms", "T"}, {"idle-exit-ms", "T"}}),
+     cmd_stream},
+};
 
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(wait_ms);
-  std::size_t reported = 0;
-  for (const auto& job : jobs) reported += job.reported ? 1 : 0;
-  while (reported < jobs.size()) {
-    // The producer doubles as a reclaimer so a farm whose only worker died
-    // still makes progress once another worker (or this loop's next poller)
-    // shows up.
-    queue.reclaim_stale();
-    bool progressed = false;
-    for (SpoolBatchJob& job : jobs) {
-      if (job.reported) continue;
-      job.state = queue.state(job.id);
-      if (job.state != sim::SpoolJobState::kDone &&
-          job.state != sim::SpoolJobState::kFailed) {
-        continue;
-      }
-      job.reported = true;
-      ++reported;
-      progressed = true;
-      std::fprintf(stderr, "[%zu/%zu] %s: %s %s\n", reported, jobs.size(),
-                   job.file.c_str(), job.kind.c_str(),
-                   job.state == sim::SpoolJobState::kDone ? "done" : "FAILED");
-    }
-    if (reported == jobs.size()) break;
-    if (wait_ms > 0 && std::chrono::steady_clock::now() >= deadline) {
-      std::fprintf(stderr, "batch: gave up after %llu ms with %zu job(s) "
-                           "unfinished\n",
-                   static_cast<unsigned long long>(wait_ms),
-                   jobs.size() - reported);
-      break;
-    }
-    if (!progressed) std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-
-  util::json::Array job_entries;
-  int failures = 0;
-  for (SpoolBatchJob& job : jobs) {
-    util::json::Object entry{{"file", job.file}};
-    if (!job.parse_error.empty()) {
-      entry.emplace_back("status", "invalid");
-      entry.emplace_back("error", job.parse_error);
-      ++failures;
-    } else {
-      entry.emplace_back("kind", job.kind);
-      entry.emplace_back("fingerprint", job.id);
-      if (job.state == sim::SpoolJobState::kDone) {
-        const std::optional<std::string> artifact = store.get(job.id);
-        const std::optional<sim::ExperimentResult> result =
-            artifact.has_value()
-                ? sim::decode_result(*artifact, job.fingerprint_text)
-                : std::nullopt;
-        if (result.has_value()) {
-          entry.emplace_back("status", "done");
-          entry.emplace_back("result", result_json(*result));
-        } else {
-          entry.emplace_back("status", "failed");
-          entry.emplace_back("error", "job done but artifact missing/corrupt");
-          ++failures;
-        }
-      } else if (job.state == sim::SpoolJobState::kFailed) {
-        entry.emplace_back("status", "failed");
-        entry.emplace_back(
-            "error",
-            queue.failure_reason(job.id).value_or("dead-lettered"));
-        ++failures;
-      } else {
-        entry.emplace_back("status", "pending");
-        ++failures;
-      }
-    }
-    job_entries.push_back(std::move(entry));
-  }
-  const util::json::Value summary =
-      util::json::Object{{"schema", 1},
-                         {"num_jobs", jobs.size()},
-                         {"spool", queue.root()},
-                         {"jobs", std::move(job_entries)}};
-  const std::string text = util::json::dump(summary, as_json ? 2 : 0);
-  util::json::parse(text);  // summary must round-trip
-  if (as_json) {
-    std::printf("%s\n", text.c_str());
-  } else {
-    std::printf("%zu job(s) via spool %s: %d failure(s)\n", jobs.size(),
-                queue.root().c_str(), failures);
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-int cmd_batch(const FlagMap& flags) {
-  const std::string specs = flag_or(flags, "specs", "");
-  if (specs.empty()) throw std::invalid_argument("batch needs --specs");
-  const bool as_json = flags.count("json") != 0;
-  const std::vector<std::string> files = collect_spec_files(specs);
-
-  if (flags.count("spool") != 0) {
-    reject_flags(flags, {"jobs"}, "does not apply with --spool");
-    return cmd_batch_spool(flags, files, as_json);
-  }
-  reject_flags(flags, {"wait-ms", "stale-ms", "max-attempts"}, "needs --spool");
-  if (flags.count("cache") == 0) {
-    reject_flags(flags, {"cache-max-bytes"}, "needs --cache");
-  }
-
-  sim::ExperimentService service(
-      service_options(flags, flag_size(flags, "jobs", 0)));
-
-  struct BatchJob {
-    std::string file;
-    sim::JobHandle handle;          // invalid when the spec failed to parse
-    std::string parse_error;
-    std::string kind;
-    std::chrono::steady_clock::time_point submitted;
-    double wall_ms = 0.0;
-    bool reported = false;
-  };
-  std::vector<BatchJob> jobs(files.size());
-
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    BatchJob& job = jobs[i];
-    job.file = files[i];
-    job.submitted = std::chrono::steady_clock::now();
-    try {
-      const sim::ExperimentSpec spec = sim::ExperimentSpec::from_file(files[i]);
-      job.kind = kind_name(spec.kind);
-      job.handle = service.submit(spec);
-    } catch (const std::exception& e) {
-      job.parse_error = e.what();
-      std::fprintf(stderr, "[%zu/%zu] %s: invalid spec: %s\n", i + 1,
-                   files.size(), files[i].c_str(), e.what());
-      job.reported = true;
-    }
-  }
-
-  // Progress: report each job the moment it turns terminal.
-  std::size_t reported = 0;
-  for (auto& job : jobs) reported += job.reported ? 1 : 0;
-  while (reported < jobs.size()) {
-    bool progressed = false;
-    for (BatchJob& job : jobs) {
-      if (job.reported) continue;
-      const sim::JobStatus status = job.handle.status();
-      if (status != sim::JobStatus::kDone &&
-          status != sim::JobStatus::kFailed &&
-          status != sim::JobStatus::kCancelled) {
-        continue;
-      }
-      job.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - job.submitted)
-                        .count();
-      job.reported = true;
-      ++reported;
-      progressed = true;
-      const char* outcome = status == sim::JobStatus::kDone
-                                ? (job.handle.from_cache() ? "cached" : "executed")
-                                : (status == sim::JobStatus::kFailed ? "FAILED"
-                                                                     : "cancelled");
-      std::fprintf(stderr, "[%zu/%zu] %s: %s %s in %.0f ms\n", reported,
-                   jobs.size(), job.file.c_str(), job.kind.c_str(), outcome,
-                   job.wall_ms);
-    }
-    if (!progressed) std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-
-  // Machine-readable summary.
-  util::json::Array job_entries;
-  int failures = 0;
-  for (const BatchJob& job : jobs) {
-    util::json::Object entry{{"file", job.file}};
-    if (!job.handle.valid()) {
-      entry.emplace_back("status", "invalid");
-      entry.emplace_back("error", job.parse_error);
-      ++failures;
-    } else {
-      entry.emplace_back("kind", job.kind);
-      entry.emplace_back("fingerprint", job.handle.fingerprint());
-      entry.emplace_back("wall_ms", json_num(job.wall_ms));
-      const sim::JobStatus status = job.handle.status();
-      if (status == sim::JobStatus::kDone) {
-        entry.emplace_back("status", "done");
-        entry.emplace_back("from_cache", job.handle.from_cache());
-        entry.emplace_back("result", result_json(*job.handle.poll()));
-      } else if (status == sim::JobStatus::kFailed) {
-        entry.emplace_back("status", "failed");
-        try {
-          job.handle.wait();
-        } catch (const std::exception& e) {
-          entry.emplace_back("error", e.what());
-        }
-        ++failures;
-      } else {
-        entry.emplace_back("status", "cancelled");
-        ++failures;
-      }
-    }
-    job_entries.push_back(std::move(entry));
-  }
-  const util::json::Value summary = util::json::Object{
-      {"schema", 1},
-      {"num_jobs", jobs.size()},
-      {"executed", service.executions()},
-      {"cache_hits", service.cache_hits()},
-      {"coalesced", service.coalesced()},
-      {"jobs", std::move(job_entries)}};
-
-  // The summary must round-trip: parse it back before anyone else has to.
-  const std::string text = util::json::dump(summary, as_json ? 2 : 0);
-  util::json::parse(text);
-
-  if (as_json) {
-    std::printf("%s\n", text.c_str());
-  } else {
-    std::printf("%zu job(s): %zu executed, %zu cache hit(s), %zu coalesced, "
-                "%d failure(s)\n",
-                jobs.size(), service.executions(), service.cache_hits(),
-                service.coalesced(), failures);
-  }
-  return failures == 0 ? 0 : 1;
-}
-
+/// Prints each command's purpose and its flags, wrapped at 80 columns.
 void usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  tegrec_cli scenarios\n"
-               "  tegrec_cli trace    [--out F] [--scenario NAME] [--seed S] "
-               "[--modules N] [--duration T]\n"
-               "  tegrec_cli simulate [--trace F | --spec F | --scenario NAME]"
-               "\n"
-               "                      [--scheme dnor|inor|ehtr|baseline|all]\n"
-               "                      [--threads W] [--max-groups G] "
-               "[--cache DIR]\n"
-               "  tegrec_cli predict  [--trace F] [--method mlr|bpnn|svr|holt] "
-               "[--horizon H]\n"
-               "  tegrec_cli montecarlo [--scenario NAME] [--seeds K] "
-               "[--first-seed S]\n"
-               "                      [--modules N] [--duration T] "
-               "[--threads W] [--cache DIR]\n"
-               "  tegrec_cli batch    --specs DIR-or-FILE [--json] [--jobs J] "
-               "[--cache DIR [--cache-max-bytes B]]\n"
-               "                      | --spool DIR --cache DIR [--wait-ms T] "
-               "[--stale-ms T] [--max-attempts N] [--cache-max-bytes B]\n"
-               "  tegrec_cli worker   --spool DIR --cache DIR [--owner ID] "
-               "[--poll-ms T]\n"
-               "                      [--heartbeat-ms T] [--stale-ms T] "
-               "[--max-attempts N]\n"
-               "                      [--max-jobs N] [--idle-exit-ms T] "
-               "[--cache-max-bytes B]\n"
-               "  tegrec_cli stream   [--array NAME=stdin|tail:PATH|tcp:PORT "
-               "...] [--scheme dnor|inor|ehtr|baseline]\n"
-               "                      [--dt T] [--modules N] [--period T] "
-               "[--threads W] [--max-groups G]\n"
-               "                      [--out FILE] [--checkpoint DIR "
-               "[--resume] [--checkpoint-every N]]\n"
-               "                      [--poll-ms T] [--stall-timeout-ms T] "
-               "[--idle-exit-ms T]\n");
+  std::string text = "usage:\n";
+  for (const Command& command : kCommands) {
+    text += "  tegrec_cli " + command.name + ": " + command.summary + '\n';
+    std::string line = "    ";
+    for (const Flag& flag : command.flags) {
+      std::string item = " [--" + flag.name;
+      if (!flag.metavar.empty()) item += " " + flag.metavar;
+      item += flag.repeatable ? " ...]" : "]";
+      if (line.size() + item.size() > 80) {
+        text += line + '\n';
+        line = "    ";
+      }
+      line += item;
+    }
+    if (!command.flags.empty()) text += line + '\n';
+  }
+  std::fputs(text.c_str(), stderr);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const auto command = std::find_if(
+      kCommands.begin(), kCommands.end(),
+      [&](const Command& c) { return argc >= 2 && c.name == argv[1]; });
+  if (command == kCommands.end()) {
     usage();
     return 1;
   }
-  const std::string command = argv[1];
   try {
-    if (command == "scenarios") {
-      return cmd_scenarios(parse_flags(argc, argv, 2, {}));
-    }
-    if (command == "trace") {
-      return cmd_trace(parse_flags(
-          argc, argv, 2, {"out", "scenario", "seed", "modules", "duration"}));
-    }
-    if (command == "simulate") {
-      return cmd_simulate(parse_flags(argc, argv, 2,
-                                      {"trace", "spec", "scenario", "scheme",
-                                       "threads", "max-groups", "cache"}));
-    }
-    if (command == "predict") {
-      return cmd_predict(parse_flags(argc, argv, 2,
-                                     {"trace", "method", "horizon"}));
-    }
-    if (command == "montecarlo") {
-      return cmd_montecarlo(parse_flags(argc, argv, 2,
-                                        {"scenario", "seeds", "first-seed",
-                                         "modules", "duration", "threads",
-                                         "cache"}));
-    }
-    if (command == "batch") {
-      return cmd_batch(parse_flags(argc, argv, 2,
-                                   {"specs", "jobs", "cache", "spool",
-                                    "wait-ms", "stale-ms", "max-attempts",
-                                    "cache-max-bytes"},
-                                   {"json"}));
-    }
-    if (command == "worker") {
-      return cmd_worker(parse_flags(argc, argv, 2,
-                                    {"spool", "cache", "owner", "poll-ms",
-                                     "heartbeat-ms", "stale-ms",
-                                     "max-attempts", "max-jobs",
-                                     "idle-exit-ms", "cache-max-bytes"}));
-    }
-    if (command == "stream") {
-      return cmd_stream(argc, argv);
-    }
-    usage();
-    return 1;
+    return command->run(parse_flags(*command, argc, argv));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
